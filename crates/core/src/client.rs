@@ -249,13 +249,6 @@ impl std::future::Future for DoneOrFailed {
     }
 }
 
-/// The pre-`ObjectRef` name of [`Run`], kept so existing code compiles.
-#[deprecated(
-    note = "use `Run`: submit() now returns output ObjectRefs immediately, \
-            so chaining no longer requires finish()"
-)]
-pub type PendingRun = Run;
-
 /// A Pathways client.
 #[derive(Clone)]
 pub struct Client {
@@ -454,6 +447,17 @@ impl Client {
         // the Result node — all local to this client — are started here.
         let run_handle = self.core.plaque.launch_unstarted(&prepared.graph);
         let run = run_handle.id();
+        // Bind the inputs before the run is registered for failure: a
+        // fault that fails it force-starts its input shards, which read
+        // their bindings (on the threaded backend that can happen before
+        // this task reaches the local starts below).
+        for (comp, objref) in bindings {
+            let shards = info.shards[comp.index()];
+            self.core.bindings.lock().insert(
+                (run, *comp),
+                Arc::new(InputBinding::new(objref.clone(), shards)),
+            );
+        }
         let failed = pathways_sim::sync::Event::new();
         self.core
             .failures
@@ -478,20 +482,14 @@ impl Client {
             }
         }
 
-        // Bind the inputs, then start their shards (and the Result node)
-        // locally.
-        for (comp, objref) in bindings {
-            let shards = info.shards[comp.index()];
-            self.core.bindings.lock().insert(
-                (run, *comp),
-                Arc::new(InputBinding::new(objref.clone(), shards)),
-            );
-        }
+        // Start the input shards (and the Result node) locally.
         let result_node = pathways_plaque::NodeId(comps.len() as u32);
-        self.core.plaque.start_local(self.host, run, result_node, 0);
+        let failures = &self.core.failures;
+        failures.start_shard(&self.core.plaque, self.host, run, result_node, 0);
         for comp in info.program.inputs() {
             for shard in 0..info.shards[comp.index()] {
-                self.core.plaque.start_local(
+                failures.start_shard(
+                    &self.core.plaque,
                     self.host,
                     run,
                     pathways_plaque::NodeId(comp.0),

@@ -177,7 +177,8 @@ pub fn spawn_executor(
                 // information (§4.5's single message): trigger the local
                 // dataflow shards in place, no extra fan-out.
                 for (shard, _) in &grant.local_shards {
-                    plaque.start_local(
+                    failures.start_shard(
+                        &plaque,
                         host,
                         grant.run,
                         pathways_plaque::NodeId(grant.comp.0),
@@ -233,7 +234,7 @@ pub fn spawn_executor(
                         // semantics — the kernel drains, the run's typed
                         // error is what consumers observe.
                         let cancel = failures.failed_event(grant.run);
-                        h.spawn("input-adapter", async move {
+                        h.spawn_detached("input-adapter", async move {
                             crate::ops::event_or_cancel(&ev, cancel.as_ref()).await;
                             let _ = tx.send(());
                         });

@@ -139,6 +139,27 @@ impl FailureState {
         self.inner.lock().failed_runs.contains_key(&run)
     }
 
+    /// Starts a dataflow shard in place on `host` (see
+    /// [`PlaqueRuntime::start_local`](pathways_plaque::PlaqueRuntime::start_local)).
+    /// On the threaded backend a fault can fail the run, and force-start
+    /// its shards, between the caller's checks and this start; a shard
+    /// found already started is then fine. For a live run it is a bug.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard was already started and `run` has not failed.
+    pub fn start_shard(
+        &self,
+        plaque: &pathways_plaque::PlaqueRuntime,
+        host: HostId,
+        run: RunId,
+        node: pathways_plaque::NodeId,
+        shard: u32,
+    ) {
+        let fresh = plaque.start_local(host, run, node, shard);
+        assert!(fresh || self.run_failed(run), "shard started twice");
+    }
+
     /// Why `run` failed, if it has.
     pub fn run_failure(&self, run: RunId) -> Option<FailureReason> {
         self.inner.lock().failed_runs.get(&run).copied()

@@ -27,9 +27,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pathways_net::{ClientId, DeviceId, HostId, IslandId};
-use pathways_plaque::{EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, ShardCtx, Tuple};
+use pathways_plaque::{
+    EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, RunId, ShardCtx, Tuple,
+};
 use pathways_sim::sync::Event;
-use pathways_sim::{join_all, SimDuration};
+use pathways_sim::{join_all, SimDuration, TaskName};
 
 use crate::context::CoreCtx;
 use crate::exec::CompRegistration;
@@ -482,8 +484,8 @@ impl Operator for CompOperator {
             v.sort_by_key(|(k, _)| *k);
             v
         };
-        ctx.handle().spawn(
-            format!("driver-{run}-{comp}-{shard}"),
+        ctx.handle().spawn_detached(
+            driver_task_name(run, comp, shard),
             drive_shard(
                 core,
                 info,
@@ -725,7 +727,7 @@ fn spawn_output_transfers(
             // consumer kernel already sitting on a live device unblocks.
             let cancel = core.failures.failed_event(run);
             transfers.push(core.handle.clone().spawn(
-                format!("xfer-{run}-{comp}-{shard}-{d}"),
+                xfer_task_name(run, comp, shard, d),
                 async move {
                     event_or_cancel(&addr, cancel.as_ref()).await;
                     if let Some(ready) = &gate {
@@ -782,6 +784,29 @@ fn spawn_output_transfers(
         }
     }
     transfers
+}
+
+/// Name of a computation shard's driver task (rendered only for
+/// deadlock reports, like the two below).
+fn driver_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
+    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |a, f| {
+        write!(f, "driver-{}-{}-{}", RunId(a[0]), CompId(a[1] as u32), a[2])
+    })
+}
+
+/// Name of an input shard's driver task.
+fn input_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
+    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |a, f| {
+        write!(f, "input-{}-{}-{}", RunId(a[0]), CompId(a[1] as u32), a[2])
+    })
+}
+
+/// Name of the task moving one output shard to consumer shard `dst`.
+fn xfer_task_name(run: RunId, comp: CompId, shard: u32, dst: u32) -> TaskName {
+    TaskName::lazy([run.0, comp.0.into(), shard.into(), dst.into()], |a, f| {
+        let (run, comp) = (RunId(a[0]), CompId(a[1] as u32));
+        write!(f, "xfer-{run}-{comp}-{}-{}", a[2], a[3])
+    })
 }
 
 /// Resolves when `event` fires — or, if `cancel` is provided, when the
@@ -889,8 +914,8 @@ impl Operator for InputOperator {
         };
         let comp = self.comp;
         let shard = self.shard;
-        ctx.handle().spawn(
-            format!("input-{run}-{comp}-{shard}"),
+        ctx.handle().spawn_detached(
+            input_task_name(run, comp, shard),
             drive_input_shard(
                 Arc::clone(&self.core),
                 info,
@@ -995,5 +1020,27 @@ impl Operator for ResultOperator {
         tuple: Tuple,
     ) {
         let _ = tuple.expect::<CompletionSignal>();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lazy_task_names_render_the_formatted_strings() {
+        let (run, comp) = (RunId(12), CompId(3));
+        assert_eq!(
+            driver_task_name(run, comp, 4).to_string(),
+            "driver-run12-comp3-4"
+        );
+        assert_eq!(
+            input_task_name(run, comp, 0).to_string(),
+            "input-run12-comp3-0"
+        );
+        assert_eq!(
+            xfer_task_name(run, comp, 4, 7).to_string(),
+            "xfer-run12-comp3-4-7"
+        );
     }
 }

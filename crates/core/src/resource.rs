@@ -269,6 +269,10 @@ impl HealEvent {
 /// All three are updated at the ledger's single choke points
 /// (`charge`/`uncharge`/`detach_device`/`attach_device`), and the
 /// `prop_resource` suite checks them against a naive linear-scan model.
+///
+/// Where several of these locks are held at once they are taken in
+/// field order (`attached`, `use_counts`, ..., `dev_slices`); any other
+/// order can deadlock on the threaded backend.
 pub struct ResourceManager {
     topo: Arc<Topology>,
     /// Attached devices per island (placement candidates).
@@ -584,10 +588,15 @@ impl ResourceManager {
         };
         let mut events = Vec::new();
         for id in victims {
-            let (owner, request, state) = {
-                let slices = self.slices.lock();
-                let a = &slices[&id];
-                (a.owner, a.request, Arc::clone(&a.state))
+            let found = self
+                .slices
+                .lock()
+                .get(&id)
+                .map(|a| (a.owner, a.request, Arc::clone(&a.state)));
+            // On the threaded backend the owner may release the slice
+            // after the snapshot above; a released slice needs no heal.
+            let Some((owner, request, state)) = found else {
+                continue;
             };
             let from = state.lock().devices.clone();
             let to = match self.try_replace(id, &state, &request, excluded_islands, |_, _, _| true)
@@ -670,8 +679,8 @@ impl ResourceManager {
     /// resource-manager property tests; panics on any drift.
     #[doc(hidden)]
     pub fn assert_indexes_consistent(&self) {
-        let counts = self.use_counts.lock();
         let attached = self.attached.lock();
+        let counts = self.use_counts.lock();
         let slices = self.slices.lock();
 
         // island_load / by_load: recompute from attached devices' counts.
@@ -701,8 +710,8 @@ impl ResourceManager {
     }
 
     fn charge(&self, slice: SliceId, devs: &[DeviceId]) {
-        let mut counts = self.use_counts.lock();
         let attached = self.attached.lock();
+        let mut counts = self.use_counts.lock();
         let mut island_load = self.island_load.lock();
         let mut by_load = self.by_load.lock();
         let mut dev_slices = self.dev_slices.lock();
@@ -722,8 +731,8 @@ impl ResourceManager {
     }
 
     fn uncharge(&self, slice: SliceId, devs: &[DeviceId]) {
-        let mut counts = self.use_counts.lock();
         let attached = self.attached.lock();
+        let mut counts = self.use_counts.lock();
         let mut island_load = self.island_load.lock();
         let mut by_load = self.by_load.lock();
         let mut dev_slices = self.dev_slices.lock();

@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pathways_sim::channel::{self, Receiver, Sender};
+use pathways_sim::TaskName;
 
 use crate::fabric::Fabric;
 use crate::ids::HostId;
@@ -87,31 +88,37 @@ impl<M: Send + 'static> Router<M> {
             "send to unregistered {dst}"
         );
         let inner = Arc::clone(&self.inner);
-        let handle = self.inner.fabric.handle().clone();
-        handle
-            .clone()
-            .spawn(format!("dcn:{src}->{dst}"), async move {
-                inner.fabric.dcn_send(src, dst, bytes).await;
-                // Checked at delivery time so a link that dies while the
-                // message is on the wire also loses it.
-                if !inner.fabric.link_up(src, dst) {
-                    return;
-                }
-                let tx = inner
-                    .inboxes
-                    .lock()
-                    .get(&dst)
-                    .expect("inbox disappeared")
-                    .clone();
-                // Receiver may legitimately have shut down (host failure).
-                let _ = tx.send(Envelope { src, msg });
-            });
+        let name = dcn_task_name(src, dst);
+        self.inner.fabric.handle().spawn_detached(name, async move {
+            inner.fabric.dcn_send(src, dst, bytes).await;
+            // Checked at delivery time so a link that dies while the
+            // message is on the wire also loses it.
+            if !inner.fabric.link_up(src, dst) {
+                return;
+            }
+            let tx = inner
+                .inboxes
+                .lock()
+                .get(&dst)
+                .expect("inbox disappeared")
+                .clone();
+            // Receiver may legitimately have shut down (host failure).
+            let _ = tx.send(Envelope { src, msg });
+        });
     }
 
     /// The underlying fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.inner.fabric
     }
+}
+
+/// Name of a message's delivery task, rendered only for deadlock
+/// reports.
+fn dcn_task_name(src: HostId, dst: HostId) -> TaskName {
+    TaskName::lazy([src.0.into(), dst.0.into(), 0, 0], |a, f| {
+        write!(f, "dcn:{}->{}", HostId(a[0] as u32), HostId(a[1] as u32))
+    })
 }
 
 #[cfg(test)]
@@ -253,6 +260,14 @@ mod tests {
         assert_eq!(
             d2.duration_since(d1),
             SimDuration::from_nanos(p.dcn_send_overhead.as_nanos())
+        );
+    }
+
+    #[test]
+    fn delivery_task_name_renders_lazily() {
+        assert_eq!(
+            dcn_task_name(HostId(3), HostId(11)).to_string(),
+            "dcn:host3->host11"
         );
     }
 }

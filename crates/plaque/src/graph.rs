@@ -312,6 +312,16 @@ impl Graph {
         }
     }
 
+    /// True if `src_shard` may address `dst_shard` on `edge` (membership
+    /// in [`Graph::reachable_dst_shards`], without building the list).
+    pub fn can_reach(&self, edge: EdgeId, src_shard: u32, dst_shard: u32) -> bool {
+        let e = &self.inner.edges[edge.index()];
+        match e.mapping {
+            EdgeMapping::AllToAll => dst_shard < self.shards(e.dst),
+            EdgeMapping::OneToOne => dst_shard == src_shard,
+        }
+    }
+
     /// Number of source shards that may address a destination shard on
     /// `edge` (the punctuation count progress tracking must await).
     pub fn expected_srcs(&self, edge: EdgeId, _dst_shard: u32) -> u32 {
@@ -377,6 +387,29 @@ mod tests {
             assert_eq!(graph.num_nodes(), 4);
             assert_eq!(graph.num_edges(), 3);
             assert_eq!(graph.shards(a), n);
+        }
+    }
+
+    #[test]
+    fn can_reach_matches_reachable_dst_shards() {
+        let mut g = GraphBuilder::new("g");
+        let a = g.node("A", hosts(3), |_| Box::new(NullOperator));
+        let b = g.node("B", hosts(3), |_| Box::new(NullOperator));
+        let c = g.node("C", hosts(5), |_| Box::new(NullOperator));
+        let one = g.one_to_one_edge(a, b);
+        let all = g.edge(a, c);
+        let graph = g.build().unwrap();
+        for edge in [one, all] {
+            for src in 0..3 {
+                let reachable = graph.reachable_dst_shards(edge, src);
+                for dst in 0..6 {
+                    assert_eq!(
+                        graph.can_reach(edge, src, dst),
+                        reachable.contains(&dst),
+                        "{edge} {src}->{dst}"
+                    );
+                }
+            }
         }
     }
 

@@ -100,8 +100,9 @@ impl ShardCore {
         }
     }
 
-    /// Validates and accounts one send; returns the destination host.
-    pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> HostId {
+    /// Validates and accounts one send; returns the destination node
+    /// and host.
+    pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> (NodeId, HostId) {
         assert!(!self.halted, "shard sent a tuple after halting");
         let done = *self
             .edge_done
@@ -114,15 +115,13 @@ impl ShardCore {
             "destination shard {dst_shard} out of range on {edge}"
         );
         assert!(
-            self.graph
-                .reachable_dst_shards(edge, self.shard)
-                .contains(&dst_shard),
+            self.graph.can_reach(edge, self.shard, dst_shard),
             "shard {} cannot address destination shard {dst_shard} on {edge} under its mapping",
             self.shard
         );
         counts[dst_shard as usize] += 1;
         let (_, dst) = self.graph.edge_endpoints(edge);
-        self.graph.placement(dst)[dst_shard as usize]
+        (dst, self.graph.placement(dst)[dst_shard as usize])
     }
 
     /// Marks an out-edge punctuated and returns the punctuation messages
@@ -148,6 +147,7 @@ impl ShardCore {
                     PlaqueMsg::Done {
                         run: self.run,
                         edge,
+                        dst_node: dst,
                         src_shard: self.shard,
                         dst_shard: d,
                         sent: counts[d as usize],
@@ -238,13 +238,14 @@ impl ShardCtx<'_> {
     /// shard is out of range, or the edge was already punctuated.
     pub fn send(&mut self, edge: EdgeId, dst_shard: u32, tuple: Tuple) {
         let mut core = self.core.lock();
-        let host = core.record_send(edge, dst_shard);
+        let (dst_node, host) = core.record_send(edge, dst_shard);
         let bytes = tuple.bytes() + DATA_OVERHEAD_BYTES;
         self.egress.push((
             host,
             PlaqueMsg::Data {
                 run: core.run,
                 edge,
+                dst_node,
                 src_shard: core.shard,
                 dst_shard,
                 tuple,
@@ -329,7 +330,7 @@ impl Emitter {
     pub fn send(&self, edge: EdgeId, dst_shard: u32, tuple: Tuple) {
         let (src_host, msg, bytes) = {
             let mut core = self.core.lock();
-            let host = core.record_send(edge, dst_shard);
+            let (dst_node, host) = core.record_send(edge, dst_shard);
             let bytes = tuple.bytes() + DATA_OVERHEAD_BYTES;
             (
                 core.host,
@@ -338,6 +339,7 @@ impl Emitter {
                     PlaqueMsg::Data {
                         run: core.run,
                         edge,
+                        dst_node,
                         src_shard: core.shard,
                         dst_shard,
                         tuple,

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pathways_net::{Fabric, HostId, Router};
 use pathways_sim::channel::{self, OneshotReceiver};
-use pathways_sim::{IdleToken, SimHandle};
+use pathways_sim::{IdleToken, SimHandle, TaskName};
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::operator::{Operator, ShardCore, ShardCtx};
@@ -54,6 +54,8 @@ pub enum PlaqueMsg {
         run: RunId,
         /// Edge carrying the tuple.
         edge: EdgeId,
+        /// The edge's destination node.
+        dst_node: NodeId,
         /// Producing shard.
         src_shard: u32,
         /// Destination shard.
@@ -68,6 +70,8 @@ pub enum PlaqueMsg {
         run: RunId,
         /// Edge being punctuated.
         edge: EdgeId,
+        /// The edge's destination node.
+        dst_node: NodeId,
         /// Producing shard.
         src_shard: u32,
         /// Destination shard.
@@ -155,8 +159,7 @@ impl RuntimeShared {
         if need_flush {
             let shared = self.clone();
             self.handle
-                .clone()
-                .spawn(format!("plaque-flush-{src}"), async move {
+                .spawn_detached(flush_task_name(src), async move {
                     shared.handle.yield_now().await;
                     let msgs = shared.async_egress.lock().remove(&src).unwrap_or_default();
                     shared.route_from(src, msgs);
@@ -189,6 +192,14 @@ impl RuntimeShared {
             runs.remove(&run);
         }
     }
+}
+
+/// Name of a host's egress-flush task, rendered only for deadlock
+/// reports.
+fn flush_task_name(src: HostId) -> TaskName {
+    TaskName::lazy([src.0.into(), 0, 0, 0], |a, f| {
+        write!(f, "plaque-flush-{}", HostId(a[0] as u32))
+    })
 }
 
 /// The sharded dataflow runtime.
@@ -256,12 +267,18 @@ impl PlaqueRuntime {
 
     /// Ensures a worker task is running on `host`; returns its shard map.
     fn ensure_worker(&self, host: HostId) -> ShardMap {
-        if let Some(map) = self.workers.lock().get(&host) {
+        // Check, register the inbox and publish under one acquisition:
+        // on the threaded backend two launches may race to create the
+        // same worker, and no one may send to the host before its inbox
+        // exists.
+        let mut workers = self.workers.lock();
+        if let Some(map) = workers.get(&host) {
             return Arc::clone(map);
         }
         let map: ShardMap = Arc::new(Lock::named("plaque.shard_map", FxHashMap::default()));
-        self.workers.lock().insert(host, Arc::clone(&map));
         let mut inbox = self.shared.router.register(host);
+        workers.insert(host, Arc::clone(&map));
+        drop(workers);
         let shared = self.shared.clone();
         let map_task = Arc::clone(&map);
         let token = IdleToken::new();
@@ -275,7 +292,8 @@ impl PlaqueRuntime {
                     token_task.set_busy();
                     let mut egress: Vec<(HostId, PlaqueMsg, u64)> = Vec::new();
                     for msg in env.msg {
-                        Self::dispatch(&shared, &map_task, msg, &mut egress);
+                        let fresh = Self::dispatch(&shared, &map_task, msg, &mut egress);
+                        assert!(fresh, "shard started twice");
                     }
                     if !egress.is_empty() {
                         shared.route_from(host, egress);
@@ -285,48 +303,45 @@ impl PlaqueRuntime {
         map
     }
 
+    /// Delivers one message to its shard. Returns false only for a
+    /// `Start` whose shard had already started (which is left alone).
     fn dispatch(
         shared: &RuntimeShared,
         map: &ShardMap,
         msg: PlaqueMsg,
         egress: &mut Vec<(HostId, PlaqueMsg, u64)>,
-    ) {
+    ) -> bool {
         let key = match &msg {
             PlaqueMsg::Start { run, node, shard } => (*run, *node, *shard),
             PlaqueMsg::Data {
                 run,
-                edge,
+                dst_node,
                 dst_shard,
                 ..
             }
             | PlaqueMsg::Done {
                 run,
-                edge,
+                dst_node,
                 dst_shard,
                 ..
-            } => {
-                // If no shard of the run remains on this host, the run
-                // already completed here; drop the late message.
-                let Some(node) = Self::dst_node_of(map, *run, *edge) else {
-                    return;
-                };
-                (*run, node, *dst_shard)
-            }
+            } => (*run, *dst_node, *dst_shard),
         };
         let slot_rc = {
             let map = map.lock();
             match map.get(&key) {
                 Some(s) => Arc::clone(s),
                 // The shard already halted and its slot was reclaimed;
-                // late punctuations are dropped.
-                None => return,
+                // late messages are dropped.
+                None => return true,
             }
         };
         match msg {
             PlaqueMsg::Start { .. } => {
                 {
                     let mut slot = slot_rc.lock();
-                    assert!(!slot.started, "shard started twice");
+                    if slot.started {
+                        return false;
+                    }
                     slot.started = true;
                     let core = Arc::clone(&slot.core);
                     let mut ctx = ShardCtx {
@@ -344,28 +359,22 @@ impl PlaqueRuntime {
                 Self::check_inputs_complete(shared, &slot_rc, egress);
             }
             data_or_done => {
-                if !slot_rc.lock().started {
-                    slot_rc.lock().pending.push(data_or_done);
-                    return;
-                }
+                // Check and park under one acquisition: on the threaded
+                // backend a concurrent Start could otherwise replay the
+                // pending list between the two, losing this message.
+                let data_or_done = {
+                    let mut slot = slot_rc.lock();
+                    if !slot.started {
+                        slot.pending.push(data_or_done);
+                        return true;
+                    }
+                    data_or_done
+                };
                 Self::deliver(shared, &slot_rc, data_or_done, egress);
                 Self::check_inputs_complete(shared, &slot_rc, egress);
             }
         }
-    }
-
-    /// Destination node of `edge`, resolved from any slot of the run on
-    /// this host (all slots of a run share the graph).
-    fn dst_node_of(map: &ShardMap, run: RunId, edge: EdgeId) -> Option<NodeId> {
-        let map = map.lock();
-        let slot = map
-            .iter()
-            .find(|((r, _, _), _)| *r == run)
-            .map(|(_, s)| Arc::clone(s))?;
-        let core = slot.lock();
-        let graph = core.core.lock().graph.clone();
-        let (_, dst) = graph.edge_endpoints(edge);
-        Some(dst)
+        true
     }
 
     fn deliver(
@@ -483,10 +492,14 @@ impl PlaqueRuntime {
     /// running on `host` (e.g. that host's executor processing a grant
     /// that carried the start information).
     ///
+    /// Returns false, and does nothing, if the shard was already
+    /// started. The check and the start are one step, so of two racing
+    /// starters on the threaded backend exactly one starts the shard.
+    ///
     /// # Panics
     ///
     /// Panics if the shard was not installed on `host`.
-    pub fn start_local(&self, host: HostId, run: RunId, node: NodeId, shard: u32) {
+    pub fn start_local(&self, host: HostId, run: RunId, node: NodeId, shard: u32) -> bool {
         let map = {
             let workers = self.workers.lock();
             Arc::clone(
@@ -496,7 +509,7 @@ impl PlaqueRuntime {
             )
         };
         let mut egress: Vec<(HostId, PlaqueMsg, u64)> = Vec::new();
-        Self::dispatch(
+        let fresh = Self::dispatch(
             &self.shared,
             &map,
             PlaqueMsg::Start { run, node, shard },
@@ -505,6 +518,7 @@ impl PlaqueRuntime {
         if !egress.is_empty() {
             self.shared.route_from(host, egress);
         }
+        fresh
     }
 
     fn launch_inner(&self, graph: &Graph, client_host: HostId, send_starts: bool) -> RunHandle {
@@ -602,13 +616,17 @@ impl PlaqueRuntime {
     /// their operators run their abort paths and wind the run down to a
     /// clean completion.
     pub fn force_start_run(&self, run: RunId) {
+        // Slot locks are not taken under the shard maps: a shard's
+        // callbacks hold its slot lock while finalizing, which takes the
+        // worker table and the map (the opposite order would deadlock on
+        // the threaded backend). `start_local` skips started shards.
         let mut targets: Vec<(HostId, NodeId, u32)> = Vec::new();
         {
             let workers = self.workers.lock();
             for (&host, map) in workers.iter() {
-                for ((r, node, shard), slot) in map.lock().iter() {
-                    if *r == run && !slot.lock().started {
-                        targets.push((host, *node, *shard));
+                for &(r, node, shard) in map.lock().keys() {
+                    if r == run {
+                        targets.push((host, node, shard));
                     }
                 }
             }
@@ -617,5 +635,15 @@ impl PlaqueRuntime {
         for (host, node, shard) in targets {
             self.start_local(host, run, node, shard);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_task_name_renders_lazily() {
+        assert_eq!(flush_task_name(HostId(5)).to_string(), "plaque-flush-host5");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pathways_net::{ClusterSpec, Fabric, HostId, NetworkParams};
 use pathways_plaque::{
-    EdgeId, GraphBuilder, NullOperator, Operator, PlaqueRuntime, ShardCtx, Tuple,
+    EdgeId, GraphBuilder, NullOperator, Operator, OperatorFactory, PlaqueRuntime, ShardCtx, Tuple,
 };
 use pathways_sim::{Sim, SimDuration};
 
@@ -263,6 +263,76 @@ fn concurrent_runs_are_isolated() {
     let mut vals = got.lock().clone();
     vals.sort_unstable();
     assert_eq!(vals, vec![0, 0, 1, 1, 2, 2, 3, 3, 4, 4]);
+}
+
+/// A `Data`/`Done` addressed to a shard that already finalized is
+/// dropped, even while another run holds a slot with the same node and
+/// shard on that host: routing is keyed by run, not just by position.
+#[test]
+fn late_message_to_finalized_shard_is_dropped_while_host_has_live_run() {
+    /// Halts as soon as it starts, before its inputs arrive.
+    struct HaltAtStart;
+    impl Operator for HaltAtStart {
+        fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+            ctx.halt();
+        }
+    }
+    /// Sends one tuple after 1ms of simulated work, then halts.
+    struct LateSource {
+        out: EdgeId,
+    }
+    impl Operator for LateSource {
+        fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
+            let emitter = ctx.emitter();
+            let h = ctx.handle().clone();
+            let out = self.out;
+            ctx.handle().spawn("late-emit", async move {
+                h.sleep(SimDuration::from_millis(1)).await;
+                emitter.send(out, 0, Tuple::new(100u32, 8));
+                emitter.halt();
+            });
+        }
+    }
+    let e = EdgeId(0);
+    let graph = |src: OperatorFactory, dst: OperatorFactory| {
+        let mut g = GraphBuilder::new("late");
+        let s = g.node("src", vec![HostId(0)], move |i| src(i));
+        let d = g.node("dst", vec![HostId(1)], move |i| dst(i));
+        assert_eq!(g.edge(s, d), e);
+        g.build().unwrap()
+    };
+    let mut sim = Sim::new(0);
+    let rt = make_runtime(&sim, 4);
+    let got = Arc::new(Lock::new(Vec::new()));
+    let gather: OperatorFactory = {
+        let got = Arc::clone(&got);
+        Arc::new(move |_| {
+            Box::new(Gather {
+                got: Arc::clone(&got),
+            })
+        })
+    };
+    // The live run: same node ids and host, its sink waits 1ms for data.
+    let live = graph(Arc::new(move |_| Box::new(LateSource { out: e })), gather);
+    // The early run: its sink halts on Start, so the source's tuples and
+    // punctuation reach host1 after the slot was reclaimed.
+    let early = graph(
+        Arc::new(move |_| Box::new(Source { edge: e, count: 3 })),
+        Arc::new(|_| Box::new(HaltAtStart)),
+    );
+    let live_run = rt.launch(&live, HostId(0));
+    let live_id = live_run.id();
+    let early_run = rt.launch(&early, HostId(0));
+    let rt2 = rt.clone();
+    let early_done = sim.spawn("early", async move {
+        early_run.await_done().await;
+        rt2.is_live(live_id)
+    });
+    sim.spawn("live", async move { live_run.await_done().await });
+    sim.run_to_quiescence();
+    assert_eq!(early_done.try_take(), Some(true), "live run still running");
+    assert_eq!(rt.live_runs(), 0);
+    assert_eq!(*got.lock(), vec![100], "late tuples were not misrouted");
 }
 
 /// Asynchronous emission through an Emitter: the operator spawns a task

@@ -14,6 +14,23 @@
 //! program twice produces identical traces, which is what makes the
 //! paper's trace figures (Figure 9/10/12) exactly reproducible.
 //!
+//! # Task storage and wakeups
+//!
+//! Tasks live in a slab: a `Vec` of slots reused through a free list.
+//! Each spawn builds the task's [`Waker`] once; it carries the task's
+//! slot index and [`TaskId`], and waking it appends that pair to the
+//! ready queue (its own small mutex, so a wake never touches the
+//! executor state). A poll takes the task out of its slot, polls it
+//! with the stored waker, and puts it back — no allocation, and no
+//! hash-map traffic. A wake whose id no longer matches its slot's
+//! occupant (the task finished and the slot was reused) is dropped.
+//!
+//! The run loop swaps the whole ready queue out and polls that batch in
+//! order, so tasks woken meanwhile queue behind it: the same FIFO order
+//! as popping one id at a time. A task woken twice before it runs is
+//! polled twice. The clock and the poll counter are atomics, read
+//! without the state lock.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,73 +50,90 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Wake, Waker};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::hash::FxHashMap;
 use crate::time::SimTime;
 use crate::trace::TraceLog;
 use crate::wheel::TimerWheel;
 
 use super::{
     Backend, ExecutorBackend, ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle,
-    TaskFuture, TaskId,
+    TaskFuture, TaskId, TaskName,
 };
 
-/// Queue of task ids woken and awaiting a poll.
+/// A woken task: its slab slot and the id of the task it was woken for.
+type Wakeup = (usize, TaskId);
+
+/// Queue of woken tasks awaiting a poll.
 ///
 /// Kept outside the main state mutex so wakers never contend with (or
 /// re-enter) a locked executor: `wake` only ever touches this queue.
 #[derive(Default)]
 struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+    queue: Mutex<VecDeque<Wakeup>>,
 }
 
 impl ReadyQueue {
-    fn push(&self, id: TaskId) {
-        self.queue.lock().push_back(id);
+    fn push(&self, wakeup: Wakeup) {
+        self.queue.lock().push_back(wakeup);
     }
 
-    fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().pop_front()
+    /// Moves every queued wakeup into the empty `batch`, in order. The
+    /// two buffers trade places, so neither reallocates once warm.
+    fn take_into(&self, batch: &mut VecDeque<Wakeup>) {
+        debug_assert!(batch.is_empty());
+        std::mem::swap(&mut *self.queue.lock(), batch);
     }
 }
 
+/// A task's waker, built once at spawn.
 struct TaskWaker {
+    slot: usize,
     id: TaskId,
     ready: Arc<ReadyQueue>,
 }
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.ready.push(self.id);
+        self.wake_by_ref();
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.push(self.id);
+        self.ready.push((self.slot, self.id));
     }
 }
 
-struct TaskEntry {
-    name: String,
+struct Task {
+    name: TaskName,
     future: TaskFuture,
     idle: Option<IdleToken>,
+    waker: Waker,
+}
+
+/// One slab entry. `task` is `None` while the slot is free (it is then
+/// on the free list) and while its task is being polled.
+struct Slot {
+    /// The current (or last) occupant.
+    id: TaskId,
+    task: Option<Task>,
 }
 
 struct DetState {
-    now: SimTime,
     timers: TimerWheel<Waker>,
-    tasks: FxHashMap<TaskId, TaskEntry>,
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Spawned tasks that have neither finished nor been aborted.
+    live: usize,
     next_task: u64,
     next_seq: u64,
     rng: StdRng,
     trace: TraceLog,
-    /// Total number of task polls performed (for introspection/benches).
-    polls: u64,
 }
 
 impl DetState {
@@ -108,12 +142,29 @@ impl DetState {
         self.next_seq += 1;
         self.timers.insert(deadline, seq, waker);
     }
+
+    /// Frees a slot whose task finished or was aborted.
+    fn release(&mut self, slot: usize) {
+        self.free.push(slot);
+        self.live -= 1;
+    }
 }
 
 /// Shared core: the backend object handles point at.
 struct DetCore {
     state: Mutex<DetState>,
     ready: Arc<ReadyQueue>,
+    /// Virtual time in nanoseconds; written only by the run loop.
+    now: AtomicU64,
+    /// Total number of task polls performed (for introspection/benches).
+    polls: AtomicU64,
+}
+
+impl DetCore {
+    fn clock(&self) -> SimTime {
+        // Relaxed: a clock reading publishes no other data.
+        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
+    }
 }
 
 impl ExecutorBackend for DetCore {
@@ -122,23 +173,53 @@ impl ExecutorBackend for DetCore {
     }
 
     fn now(&self) -> SimTime {
-        self.state.lock().now
+        self.clock()
     }
 
-    fn spawn_task(&self, name: String, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
-        let id = {
+    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
+        let wakeup = {
             let mut st = self.state.lock();
             let id = TaskId(st.next_task);
             st.next_task += 1;
-            st.tasks.insert(id, TaskEntry { name, future, idle });
-            id
+            let slot = st.free.pop().unwrap_or(st.slots.len());
+            let waker = Waker::from(Arc::new(TaskWaker {
+                slot,
+                id,
+                ready: Arc::clone(&self.ready),
+            }));
+            let task = Some(Task {
+                name,
+                future,
+                idle,
+                waker,
+            });
+            match st.slots.get_mut(slot) {
+                Some(s) => *s = Slot { id, task },
+                None => st.slots.push(Slot { id, task }),
+            }
+            st.live += 1;
+            (slot, id)
         };
-        self.ready.push(id);
-        id
+        self.ready.push(wakeup);
+        wakeup.1
     }
 
     fn abort_task(&self, id: TaskId) {
-        self.state.lock().tasks.remove(&id);
+        // A task being polled is not in its slot, so aborting oneself
+        // is a no-op. Aborts model process death and are rare, so a
+        // slab scan beats an id index every spawn would have to
+        // maintain. The future is dropped outside the lock: its
+        // destructors may wake or spawn tasks.
+        let aborted = {
+            let mut st = self.state.lock();
+            let found = st.slots.iter().position(|s| s.id == id && s.task.is_some());
+            found.and_then(|slot| {
+                let task = st.slots[slot].task.take();
+                st.release(slot);
+                task
+            })
+        };
+        drop(aborted);
     }
 
     fn register_timer(&self, deadline: SimTime, waker: Waker) {
@@ -158,7 +239,7 @@ impl ExecutorBackend for DetCore {
     }
 
     fn poll_count(&self) -> u64 {
-        self.state.lock().polls
+        self.polls.load(Ordering::Relaxed)
     }
 }
 
@@ -167,14 +248,17 @@ impl ExecutorBackend for DetCore {
 /// See the module documentation for an overview and example.
 pub struct Sim {
     core: Arc<DetCore>,
+    /// The ready batch being polled; kept across runs so draining the
+    /// ready queue allocates nothing once warm.
+    batch: VecDeque<Wakeup>,
 }
 
 impl fmt::Debug for Sim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let st = self.core.state.lock();
         f.debug_struct("Sim")
-            .field("now", &st.now)
-            .field("live_tasks", &st.tasks.len())
+            .field("now", &self.core.clock())
+            .field("live_tasks", &st.live)
             .field("pending_timers", &st.timers.len())
             .finish()
     }
@@ -186,17 +270,20 @@ impl Sim {
         Sim {
             core: Arc::new(DetCore {
                 state: Mutex::new(DetState {
-                    now: SimTime::ZERO,
                     timers: TimerWheel::new(),
-                    tasks: FxHashMap::default(),
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                    live: 0,
                     next_task: 0,
                     next_seq: 0,
                     rng: StdRng::seed_from_u64(seed),
                     trace: TraceLog::new(),
-                    polls: 0,
                 }),
                 ready: Arc::new(ReadyQueue::default()),
+                now: AtomicU64::new(SimTime::ZERO.as_nanos()),
+                polls: AtomicU64::new(0),
             }),
+            batch: VecDeque::new(),
         }
     }
 
@@ -211,7 +298,7 @@ impl Sim {
     /// The `name` is used in deadlock reports and traces.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
         self.handle().spawn(name, future)
@@ -219,12 +306,12 @@ impl Sim {
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.core.state.lock().now
+        self.core.clock()
     }
 
     /// Number of task polls performed so far.
     pub fn poll_count(&self) -> u64 {
-        self.core.state.lock().polls
+        self.core.polls.load(Ordering::Relaxed)
     }
 
     /// Takes the accumulated trace events, leaving the log empty.
@@ -244,10 +331,7 @@ impl Sim {
         // it in place, so advancing time allocates nothing.
         let mut wakers = Vec::new();
         loop {
-            // Drain the ready queue in FIFO order.
-            while let Some(id) = self.core.ready.pop() {
-                self.poll_task(id);
-            }
+            self.drain_ready();
             // Advance virtual time to the next deadline, taking *every*
             // timer that shares it in one batch pop (one wheel operation
             // per simulated instant instead of one heap pop per timer).
@@ -255,8 +339,11 @@ impl Sim {
                 let mut st = self.core.state.lock();
                 match st.timers.pop_batch_into(limit, &mut wakers) {
                     Some(deadline) => {
-                        debug_assert!(deadline >= st.now, "timer in the past");
-                        st.now = deadline.max(st.now);
+                        let now = self.core.clock();
+                        debug_assert!(deadline >= now, "timer in the past");
+                        self.core
+                            .now
+                            .store(deadline.max(now).as_nanos(), Ordering::Relaxed);
                         true
                     }
                     None => false,
@@ -272,29 +359,29 @@ impl Sim {
             // `deadline == now`.
             for waker in wakers.drain(..) {
                 waker.wake();
-                while let Some(id) = self.core.ready.pop() {
-                    self.poll_task(id);
-                }
+                self.drain_ready();
             }
         }
+        let now = self.core.clock();
         let st = self.core.state.lock();
-        if st.tasks.is_empty() || !st.timers.is_empty() {
+        if st.live == 0 || !st.timers.is_empty() {
             // All done, or stopped by the time limit with timers pending.
-            RunOutcome::Quiescent { time: st.now }
+            RunOutcome::Quiescent { time: now }
         } else {
             let mut stuck: Vec<String> = st
-                .tasks
-                .values()
+                .slots
+                .iter()
+                .filter_map(|s| s.task.as_ref())
                 .filter(|t| !t.idle.as_ref().is_some_and(IdleToken::is_idle))
-                .map(|t| t.name.clone())
+                .map(|t| t.name.to_string())
                 .collect();
             stuck.sort();
             if stuck.is_empty() {
                 // Only parked service tasks remain: quiescent.
-                RunOutcome::Quiescent { time: st.now }
+                RunOutcome::Quiescent { time: now }
             } else {
                 RunOutcome::Deadlock {
-                    time: st.now,
+                    time: now,
                     stuck_tasks: stuck,
                 }
             }
@@ -316,24 +403,41 @@ impl Sim {
         }
     }
 
-    fn poll_task(&mut self, id: TaskId) {
-        // Remove the task so the state lock is released while polling;
-        // the polled future may spawn tasks or register timers.
-        let entry = self.core.state.lock().tasks.remove(&id);
-        let Some(mut entry) = entry else {
-            return; // already completed; stale wake
-        };
-        self.core.state.lock().polls += 1;
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.core.ready),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        match entry.future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {}
-            Poll::Pending => {
-                self.core.state.lock().tasks.insert(id, entry);
+    /// Polls woken tasks in FIFO order until none is left.
+    fn drain_ready(&mut self) {
+        let mut batch = std::mem::take(&mut self.batch);
+        loop {
+            self.core.ready.take_into(&mut batch);
+            if batch.is_empty() {
+                break;
             }
+            while let Some((slot, id)) = batch.pop_front() {
+                self.poll_task(slot, id);
+            }
+        }
+        self.batch = batch;
+    }
+
+    fn poll_task(&self, slot: usize, id: TaskId) {
+        // Take the task out so the state lock is released while
+        // polling; the polled future may spawn tasks or register timers.
+        let task = {
+            let mut st = self.core.state.lock();
+            match st.slots.get_mut(slot) {
+                Some(s) if s.id == id => s.task.take(),
+                // Stale wake: the slot now holds a newer task.
+                _ => None,
+            }
+        };
+        let Some(mut task) = task else {
+            return; // already completed (or running); stale wake
+        };
+        self.core.polls.fetch_add(1, Ordering::Relaxed);
+        let mut cx = Context::from_waker(&task.waker);
+        if task.future.as_mut().poll(&mut cx).is_ready() {
+            self.core.state.lock().release(slot);
+        } else {
+            self.core.state.lock().slots[slot].task = Some(task);
         }
     }
 }
@@ -511,6 +615,97 @@ mod tests {
         let joined = sim.spawn("join", async move { join_all(handles).await });
         sim.run_to_quiescence();
         assert_eq!(joined.try_take().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Logs each poll under its name and stays pending, publishing the
+    /// waker it was polled with.
+    struct Probe {
+        name: &'static str,
+        log: Arc<Mutex<Vec<&'static str>>>,
+        waker: Arc<Mutex<Option<Waker>>>,
+        finish: bool,
+    }
+
+    impl Probe {
+        fn new(name: &'static str, log: &Arc<Mutex<Vec<&'static str>>>, finish: bool) -> Self {
+            Probe {
+                name,
+                log: Arc::clone(log),
+                waker: Arc::default(),
+                finish,
+            }
+        }
+    }
+
+    impl Future for Probe {
+        type Output = ();
+
+        fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> std::task::Poll<()> {
+            self.log.lock().push(self.name);
+            *self.waker.lock() = Some(cx.waker().clone());
+            if self.finish {
+                std::task::Poll::Ready(())
+            } else {
+                std::task::Poll::Pending
+            }
+        }
+    }
+
+    #[test]
+    fn stale_wake_does_not_poll_the_slot_reuser() {
+        let mut sim = Sim::new(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let done = Probe::new("done", &log, true);
+        let stale = Arc::clone(&done.waker);
+        sim.handle().spawn_detached("done", done);
+        sim.run_to_quiescence();
+        // The next task reuses the finished task's slot.
+        sim.handle()
+            .spawn_detached("next", Probe::new("next", &log, false));
+        assert!(sim.run().is_deadlock());
+        assert_eq!(sim.core.state.lock().slots.len(), 1, "slot was reused");
+        let polls = sim.poll_count();
+        stale.lock().take().expect("waker captured").wake();
+        assert!(sim.run().is_deadlock());
+        assert_eq!(sim.poll_count(), polls);
+        assert_eq!(*log.lock(), vec!["done", "next"]);
+    }
+
+    #[test]
+    fn abort_during_own_poll_is_a_no_op() {
+        let mut sim = Sim::new(0);
+        let h = sim.handle();
+        let me: Arc<Mutex<Option<JoinHandle<()>>>> = Arc::default();
+        let me2 = Arc::clone(&me);
+        let finished = Arc::new(Mutex::new(false));
+        let finished2 = Arc::clone(&finished);
+        let jh = sim.spawn("self-abort", async move {
+            me2.lock().take().expect("handle published").abort();
+            h.yield_now().await;
+            *finished2.lock() = true;
+        });
+        *me.lock() = Some(jh);
+        assert!(sim.run().is_quiescent());
+        assert!(*finished.lock());
+    }
+
+    #[test]
+    fn double_wake_polls_twice_in_fifo_order() {
+        let mut sim = Sim::new(0);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let x = Probe::new("x", &log, false);
+        let y = Probe::new("y", &log, false);
+        let (wx, wy) = (Arc::clone(&x.waker), Arc::clone(&y.waker));
+        sim.handle().spawn_detached("x", x);
+        sim.handle().spawn_detached("y", y);
+        assert!(sim.run().is_deadlock());
+        let wx = wx.lock().clone().expect("x polled");
+        let wy = wy.lock().clone().expect("y polled");
+        wx.wake_by_ref();
+        wy.wake_by_ref();
+        wx.wake_by_ref();
+        assert!(sim.run().is_deadlock());
+        assert_eq!(*log.lock(), vec!["x", "y", "x", "y", "x"]);
     }
 
     #[test]

@@ -58,6 +58,68 @@ impl fmt::Display for TaskId {
 /// Boxed task body as stored by a backend.
 pub type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// Renders a [`TaskName::lazy`] name from its packed arguments.
+pub type RenderName = fn(&[u64; 4], &mut fmt::Formatter<'_>) -> fmt::Result;
+
+/// A task's name, rendered only when a report needs it.
+///
+/// Names appear in deadlock reports and nowhere on the hot path, so a
+/// spawn should not pay to format one. A `&'static str` or `String`
+/// converts directly; a name built from ids uses [`TaskName::lazy`],
+/// which stores the ids and a render function inline — no formatting
+/// and no heap allocation per spawn.
+#[derive(Clone)]
+pub struct TaskName(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Static(&'static str),
+    Owned(String),
+    Lazy { args: [u64; 4], render: RenderName },
+}
+
+impl TaskName {
+    /// A name rendered on demand by `render` from up to four ids.
+    ///
+    /// ```
+    /// use pathways_sim::TaskName;
+    ///
+    /// let name = TaskName::lazy([7, 3, 0, 0], |a, f| write!(f, "driver-{}-{}", a[0], a[1]));
+    /// assert_eq!(name.to_string(), "driver-7-3");
+    /// ```
+    pub const fn lazy(args: [u64; 4], render: RenderName) -> Self {
+        TaskName(NameRepr::Lazy { args, render })
+    }
+}
+
+impl fmt::Display for TaskName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            NameRepr::Static(s) => f.write_str(s),
+            NameRepr::Owned(s) => f.write_str(s),
+            NameRepr::Lazy { args, render } => render(args, f),
+        }
+    }
+}
+
+impl fmt::Debug for TaskName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?}", self.to_string())
+    }
+}
+
+impl From<&'static str> for TaskName {
+    fn from(s: &'static str) -> Self {
+        TaskName(NameRepr::Static(s))
+    }
+}
+
+impl From<String> for TaskName {
+    fn from(s: String) -> Self {
+        TaskName(NameRepr::Owned(s))
+    }
+}
+
 /// Which backend an executor (or handle) is running on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -127,7 +189,7 @@ pub trait ExecutorBackend: Send + Sync {
     /// nanoseconds since executor start (threaded).
     fn now(&self) -> SimTime;
     /// Registers a boxed task; it becomes runnable immediately.
-    fn spawn_task(&self, name: String, idle: Option<IdleToken>, future: TaskFuture) -> TaskId;
+    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId;
     /// Forcibly removes a task (models abrupt process death).
     fn abort_task(&self, id: TaskId);
     /// Arms a timer waking `waker` at `deadline`. Timers sharing a
@@ -292,7 +354,7 @@ impl SimHandle {
     /// Spawns a task onto the executor.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
         self.spawn_inner(name, None, future)
@@ -306,16 +368,28 @@ impl SimHandle {
     /// deadlock when the rest of the system drains.
     pub fn spawn_service<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         token: &IdleToken,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
         self.spawn_inner(name, Some(token.clone()), future)
     }
 
+    /// Spawns a fire-and-forget task: no [`JoinHandle`], so no shared
+    /// join state is allocated. For short message-delivery tasks whose
+    /// completion nothing awaits.
+    pub fn spawn_detached(
+        &self,
+        name: impl Into<TaskName>,
+        future: impl Future<Output = ()> + Send + 'static,
+    ) {
+        self.upgrade()
+            .spawn_task(name.into(), None, Box::pin(future));
+    }
+
     fn spawn_inner<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         idle: Option<IdleToken>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
@@ -614,7 +688,7 @@ impl Executor {
     /// Spawns a task and returns a handle to its eventual output.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
         self.handle().spawn(name, future)

@@ -12,19 +12,22 @@
 //!   of deadlocking, preserving the fail-fast behavior golden tests
 //!   rely on.
 //! * **Contention profiling.** Locks created with [`Lock::named`]
-//!   register themselves in a process-wide table; every acquisition
-//!   and every contended acquisition (the fast-path `try_lock` lost)
-//!   is counted. [`contention_profile`] snapshots the table — this is
-//!   what `fig_dispatch`'s lock-contention profile reports.
+//!   share one counter record per name in a process-wide table (so
+//!   the table is bounded by the number of distinct names, however
+//!   many runtimes are built); every acquisition and every contended
+//!   acquisition (the fast-path `try_lock` lost) is counted.
+//!   [`contention_profile`] snapshots the table — this is what
+//!   `fig_dispatch`'s lock-contention profile reports.
 //!
 //! Counting is skipped entirely for anonymous locks, so fine-grained
 //! per-object state pays only the owner-tracking store.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -45,8 +48,8 @@ fn current_thread_token() -> u64 {
     })
 }
 
-/// Acquisition counters of one named [`Lock`] (or one name shared by
-/// several locks — the profile aggregates by name).
+/// Acquisition counters shared by every [`Lock`] created under one
+/// name.
 #[derive(Debug)]
 pub struct LockStats {
     name: &'static str,
@@ -54,10 +57,10 @@ pub struct LockStats {
     contended: AtomicU64,
 }
 
-/// Process-wide registry of named-lock stats.
-fn registry() -> &'static Mutex<Vec<Arc<LockStats>>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<Vec<Arc<LockStats>>>> = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Process-wide registry of named-lock stats: one entry per name.
+fn registry() -> &'static Mutex<BTreeMap<&'static str, Arc<LockStats>>> {
+    static REGISTRY: OnceLock<Mutex<BTreeMap<&'static str, Arc<LockStats>>>> = OnceLock::new();
+    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// One row of [`contention_profile`].
@@ -74,19 +77,13 @@ pub struct LockProfile {
 /// Snapshot of every named lock's counters, aggregated by name and
 /// sorted by contended count (most contended first).
 pub fn contention_profile() -> Vec<LockProfile> {
-    let mut by_name: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for s in registry().lock().iter() {
-        let e = by_name.entry(s.name).or_insert((0, 0));
-        e.0 += s.acquires.load(Ordering::Relaxed);
-        e.1 += s.contended.load(Ordering::Relaxed);
-    }
-    let mut out: Vec<LockProfile> = by_name
-        .into_iter()
-        .map(|(name, (acquires, contended))| LockProfile {
-            name: name.to_string(),
-            acquires,
-            contended,
+    let mut out: Vec<LockProfile> = registry()
+        .lock()
+        .values()
+        .map(|s| LockProfile {
+            name: s.name.to_string(),
+            acquires: s.acquires.load(Ordering::Relaxed),
+            contended: s.contended.load(Ordering::Relaxed),
         })
         .collect();
     out.sort_by(|a, b| b.contended.cmp(&a.contended).then(a.name.cmp(&b.name)));
@@ -95,7 +92,7 @@ pub fn contention_profile() -> Vec<LockProfile> {
 
 /// Zeroes every named lock's counters (the locks stay registered).
 pub fn reset_contention_profile() {
-    for s in registry().lock().iter() {
+    for s in registry().lock().values() {
         s.acquires.store(0, Ordering::Relaxed);
         s.contended.store(0, Ordering::Relaxed);
     }
@@ -134,12 +131,13 @@ impl<T> Lock<T> {
     /// state, fabric) so `fig_dispatch` can report where the threaded
     /// backend contends.
     pub fn named(name: &'static str, value: T) -> Self {
-        let stats = Arc::new(LockStats {
-            name,
-            acquires: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-        });
-        registry().lock().push(Arc::clone(&stats));
+        let stats = Arc::clone(registry().lock().entry(name).or_insert_with(|| {
+            Arc::new(LockStats {
+                name,
+                acquires: AtomicU64::new(0),
+                contended: AtomicU64::new(0),
+            })
+        }));
         Lock {
             stats: Some(stats),
             owner: AtomicU64::new(0),
@@ -318,6 +316,21 @@ mod tests {
         }
         drop(g);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn named_locks_share_one_registry_entry_per_name() {
+        let locks: Vec<Lock<()>> = (0..10_000).map(|_| Lock::named("x", ())).collect();
+        for l in &locks {
+            drop(l.lock());
+        }
+        let entries = registry().lock().values().filter(|s| s.name == "x").count();
+        assert_eq!(entries, 1);
+        let x = contention_profile()
+            .into_iter()
+            .find(|p| p.name == "x")
+            .expect("x is registered");
+        assert_eq!(x.acquires, 10_000);
     }
 
     #[test]
