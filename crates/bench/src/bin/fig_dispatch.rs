@@ -1,31 +1,12 @@
-//! Controller dispatch throughput, deterministic vs threaded: programs
-//! and kernels per wall-clock second pushed through one
-//! `PathwaysRuntime`, swept over work-stealing worker counts, plus the
-//! named-lock contention profile of each threaded run.
+//! Controller dispatch throughput: programs and kernels per wall-clock
+//! second pushed through one `PathwaysRuntime`.
 //!
 //! Usage: `fig_dispatch [CLIENTS [PROGRAMS_PER_CLIENT [KERNELS]]]` —
-//! defaults to `8 64 8`. Worker counts swept: 1, 2, 4, 8. Writes
-//! `BENCH_fig_dispatch.json` at the repo root (override the directory
-//! with `BENCH_OUT_DIR`).
+//! defaults to `8 64 8`. Writes `BENCH_fig_dispatch.json` at the repo
+//! root (override the directory with `BENCH_OUT_DIR`).
 
-use pathways_bench::dispatch::{dispatch_point, DispatchStats, DEVICES_PER_ISLAND};
+use pathways_bench::dispatch::{dispatch_point, DEVICES_PER_ISLAND};
 use pathways_bench::perf::{BenchReport, ClusterShape};
-use pathways_sim::ExecutorKind;
-
-const WORKER_SWEEP: &[usize] = &[1, 2, 4, 8];
-
-fn row(s: &DispatchStats) {
-    println!(
-        "{:>13} {:>7} {:>8} {:>9} {:>8.4} {:>12.0} {:>12.0}",
-        s.backend,
-        s.workers,
-        s.programs,
-        s.kernels,
-        s.wall_secs,
-        s.programs_per_sec(),
-        s.kernels_per_sec(),
-    );
-}
 
 fn main() {
     let args: Vec<u32> = std::env::args()
@@ -36,70 +17,33 @@ fn main() {
     let programs = args.get(1).copied().unwrap_or(64);
     let kernels = args.get(2).copied().unwrap_or(8);
 
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
         "Dispatch throughput: {clients} clients x {programs} programs x {kernels} kernels \
-         (one client per {DEVICES_PER_ISLAND}-device island), {cores} host cores"
+         (one client per {DEVICES_PER_ISLAND}-device island)"
     );
-    if cores < 4 {
-        println!("note: fewer than 4 host cores; worker-count scaling cannot show a speedup here");
-    }
     println!(
-        "{:>13} {:>7} {:>8} {:>9} {:>8} {:>12} {:>12}",
-        "backend", "workers", "programs", "kernels", "wall_s", "prog/s", "kern/s"
+        "{:>8} {:>9} {:>8} {:>12} {:>12}",
+        "programs", "kernels", "wall_s", "prog/s", "kern/s"
+    );
+    let s = dispatch_point(clients, programs, kernels);
+    println!(
+        "{:>8} {:>9} {:>8.4} {:>12.0} {:>12.0}",
+        s.programs,
+        s.kernels,
+        s.wall_secs,
+        s.programs_per_sec(),
+        s.kernels_per_sec(),
     );
 
-    let mut report = BenchReport::new(
+    BenchReport::new(
         "fig_dispatch",
         ClusterShape {
             islands: clients,
             hosts_per_island: 1,
             devices_per_host: DEVICES_PER_ISLAND,
         },
-    );
-
-    report = report.metric("host_cores", cores as f64);
-    let det = dispatch_point(ExecutorKind::Deterministic, clients, programs, kernels);
-    row(&det);
-    report = report
-        .metric("det_programs_per_sec", det.programs_per_sec())
-        .metric("det_kernels_per_sec", det.kernels_per_sec());
-
-    let mut by_workers: Vec<(usize, f64)> = Vec::new();
-    for &w in WORKER_SWEEP {
-        let s = dispatch_point(
-            ExecutorKind::Threaded { workers: w },
-            clients,
-            programs,
-            kernels,
-        );
-        row(&s);
-        by_workers.push((w, s.kernels_per_sec()));
-        report = report
-            .metric(
-                format!("threaded_w{w}_programs_per_sec"),
-                s.programs_per_sec(),
-            )
-            .metric(
-                format!("threaded_w{w}_kernels_per_sec"),
-                s.kernels_per_sec(),
-            );
-        // Top contended locks for this worker count (profile is sorted
-        // most-contended first).
-        for p in s.contention.iter().take(3) {
-            report = report.metric(
-                format!("threaded_w{w}_contended_{}", p.name),
-                p.contended as f64,
-            );
-        }
-    }
-
-    let kps = |w: usize| by_workers.iter().find(|(n, _)| *n == w).map(|(_, k)| *k);
-    if let (Some(k1), Some(k4)) = (kps(1), kps(4)) {
-        let scaling = k4 / k1;
-        println!("\nthreaded kernels/sec scaling 1 -> 4 workers: {scaling:.2}x");
-        report = report.metric("threaded_scaling_1_to_4", scaling);
-    }
-
-    report.write_or_warn();
+    )
+    .metric("det_programs_per_sec", s.programs_per_sec())
+    .metric("det_kernels_per_sec", s.kernels_per_sec())
+    .write_or_warn();
 }

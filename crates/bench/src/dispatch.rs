@@ -1,24 +1,20 @@
-//! `fig_dispatch` harness: controller dispatch throughput, deterministic
-//! vs threaded.
+//! `fig_dispatch` harness: controller dispatch throughput.
 //!
 //! Every other figure measures *virtual-time* behavior; this one
 //! measures how fast the controller itself runs — programs and kernels
-//! per wall-clock second pushed through one `PathwaysRuntime` — and how
-//! that changes when the same controller code runs on the work-stealing
-//! threaded backend at 1/2/4/8 workers.
+//! per wall-clock second pushed through one `PathwaysRuntime`.
 //!
 //! The workload is controller-bound by construction: each client traces
 //! and lowers a fresh multi-kernel program every iteration (tracing +
 //! lowering is the paper's client-side cost, §4.5), so wall time is
 //! dominated by real CPU work in the client, scheduler, store, and
 //! dispatch paths rather than by modeled latencies (which are set to
-//! zero/near-zero here). Clients sit on disjoint islands, which is what
-//! makes the work parallelizable at all — one island's grant loop is
-//! intentionally serial.
+//! zero/near-zero here). Clients sit on disjoint islands, so every
+//! island's scheduler and executors carry load.
 //!
-//! Alongside throughput, the harness snapshots the named-lock
-//! contention profile ([`pathways_sim::contention_profile`]): which of
-//! the controller's shared structures actually block under threads.
+//! Alongside throughput, the harness snapshots the named-lock profile
+//! ([`pathways_sim::contention_profile`]): how often the controller
+//! acquires each of its shared structures.
 
 // This module measures wall time, like `scale.rs` (both are listed in
 // pathlint's WALL_CLOCK_EXEMPT and clippy.toml's exemption comment).
@@ -28,20 +24,14 @@ use std::time::Instant;
 
 use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
 use pathways_net::{Bandwidth, ClusterSpec, HostId, IslandId, NetworkParams};
-use pathways_sim::{
-    contention_profile, reset_contention_profile, Executor, ExecutorKind, LockProfile, SimDuration,
-};
+use pathways_sim::{contention_profile, reset_contention_profile, LockProfile, Sim, SimDuration};
 
 /// Devices per (single-host) island in the dispatch workload.
 pub const DEVICES_PER_ISLAND: u32 = 4;
 
-/// One measurement: a backend, a client fleet, and what it achieved.
+/// One measurement: a client fleet and what it achieved.
 #[derive(Debug, Clone)]
 pub struct DispatchStats {
-    /// Backend label (`"deterministic"` or `"threaded"`).
-    pub backend: &'static str,
-    /// Worker threads (1 for the deterministic backend).
-    pub workers: usize,
     /// Concurrent clients (= islands).
     pub clients: u32,
     /// Programs submitted and completed across all clients.
@@ -50,7 +40,7 @@ pub struct DispatchStats {
     pub kernels: u64,
     /// Wall-clock seconds from first submission to quiescence.
     pub wall_secs: f64,
-    /// Named-lock contention profile captured over the run.
+    /// Named-lock acquisition profile captured over the run.
     pub contention: Vec<LockProfile>,
 }
 
@@ -66,27 +56,24 @@ impl DispatchStats {
     }
 }
 
-/// Runs the dispatch workload on `kind`: `clients` clients, one per
-/// single-host island, each tracing/lowering/submitting
-/// `programs_per_client` fresh programs of `kernels_per_program`
-/// computations on its island's 4-device slice.
+/// Runs the dispatch workload: `clients` clients, one per single-host
+/// island, each tracing/lowering/submitting `programs_per_client` fresh
+/// programs of `kernels_per_program` computations on its island's
+/// 4-device slice.
 ///
-/// Virtual-time behavior is deterministic on the deterministic backend;
-/// wall-clock fields are machine-dependent on both.
+/// Virtual-time behavior is deterministic; wall-clock fields are
+/// machine-dependent.
 pub fn dispatch_point(
-    kind: ExecutorKind,
     clients: u32,
     programs_per_client: u32,
     kernels_per_program: u32,
 ) -> DispatchStats {
     assert!(clients >= 1 && programs_per_client >= 1 && kernels_per_program >= 1);
-    let mut exec = Executor::new(kind, 0);
+    let mut exec = Sim::new(0);
     // Modeled latencies all zero: this figure charges the controller's
     // CPU work, not the simulated network/device time the other figures
     // study. Zero-duration sleeps complete without arming a timer, so
-    // on the threaded backend wall time is real scheduling/lowering/
-    // dispatch CPU rather than timer churn (which would serialize on
-    // the timer thread and swamp any worker-count effect).
+    // wall time is scheduling/lowering/dispatch CPU, not timer churn.
     let cfg = PathwaysConfig {
         client_overhead: SimDuration::ZERO,
         client_per_comp: SimDuration::ZERO,
@@ -156,14 +143,6 @@ pub fn dispatch_point(
         .map(|j| j.try_take().expect("dispatch client finished"))
         .sum();
     DispatchStats {
-        backend: match kind {
-            ExecutorKind::Deterministic => "deterministic",
-            ExecutorKind::Threaded { .. } => "threaded",
-        },
-        workers: match kind {
-            ExecutorKind::Deterministic => 1,
-            ExecutorKind::Threaded { workers } => workers,
-        },
         clients,
         programs,
         kernels: programs * u64::from(kernels_per_program),
@@ -178,8 +157,8 @@ mod tests {
 
     #[test]
     fn deterministic_point_completes_and_replays() {
-        let a = dispatch_point(ExecutorKind::Deterministic, 2, 3, 4);
-        let b = dispatch_point(ExecutorKind::Deterministic, 2, 3, 4);
+        let a = dispatch_point(2, 3, 4);
+        let b = dispatch_point(2, 3, 4);
         assert_eq!(a.programs, 6);
         assert_eq!(a.kernels, 24);
         assert_eq!(a.programs, b.programs, "virtual behavior must replay");
@@ -187,17 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn threaded_point_completes_all_programs() {
-        let s = dispatch_point(ExecutorKind::Threaded { workers: 2 }, 2, 3, 4);
-        assert_eq!(s.programs, 6);
-        assert_eq!(s.kernels, 24);
-        assert_eq!(s.backend, "threaded");
-        assert_eq!(s.workers, 2);
-    }
-
-    #[test]
     fn contention_profile_names_hot_locks() {
-        let s = dispatch_point(ExecutorKind::Threaded { workers: 4 }, 4, 4, 4);
+        let s = dispatch_point(4, 4, 4);
         // The run must have exercised the named controller locks.
         let names: Vec<&str> = s.contention.iter().map(|p| p.name.as_str()).collect();
         assert!(

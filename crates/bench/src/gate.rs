@@ -9,12 +9,10 @@
 //! regenerate the baselines after an intentional change.
 //!
 //! Tolerances are per-metric *classes*, not per-file: metrics derived
-//! from virtual time are bit-deterministic on the deterministic backend
-//! and gate tightly, while wall-clock metrics (the `fig_scale` and
-//! `fig_dispatch` families) vary with the host and only gate against
-//! order-of-magnitude collapses. Machine-shape metrics (core counts,
-//! lock-contention counters, worker-scaling ratios) are recorded for
-//! the trajectory but not gated at all.
+//! from virtual time are bit-deterministic and gate tightly, while
+//! wall-clock metrics (the `fig_scale` and `fig_dispatch` families)
+//! vary with the host and only gate against order-of-magnitude
+//! collapses.
 //!
 //! The workspace has no JSON dependency, so parsing is hand-rolled to
 //! match: a minimal recursive-descent parser covering exactly the JSON
@@ -301,9 +299,6 @@ pub fn parse_report(text: &str) -> Result<GateReport, String> {
 /// How a metric is gated against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rule {
-    /// Recorded for the trajectory, never gated (machine-shape
-    /// dependent: core counts, contention counters, scaling ratios).
-    Skip,
     /// Higher is better; fail when `fresh < baseline * min_ratio`.
     /// Used for wall-clock throughputs, with generous headroom for
     /// host-speed variance.
@@ -331,14 +326,9 @@ pub enum Rule {
 /// (`*_per_sec` on `fig_dispatch`, `sim_wall_ratio_*`,
 /// `wall_us_per_kernel_*`, `heal_wall_us_*` on `fig_scale`); every
 /// other metric is derived from virtual time and replays
-/// bit-identically on the deterministic backend.
+/// bit-identically.
 pub fn rule_for(figure: &str, metric: &str) -> Rule {
-    // Machine shape, not performance.
-    if metric == "host_cores" || metric.contains("contended_") || metric.contains("scaling_1_to_4")
-    {
-        return Rule::Skip;
-    }
-    // fig_dispatch throughputs are wall-clock on *both* backends.
+    // fig_dispatch throughputs are wall-clock.
     if figure == "fig_dispatch" {
         return Rule::HigherBetter { min_ratio: 0.125 };
     }
@@ -370,7 +360,7 @@ pub struct Finding {
 /// Outcome of gating one metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
-    /// Within tolerance (or rule is `Skip`).
+    /// Within tolerance.
     Ok,
     /// Outside tolerance; carries fresh and baseline values.
     Regressed {
@@ -426,7 +416,6 @@ impl fmt::Display for Finding {
 /// Gates one value against its baseline under `rule`.
 fn check(rule: Rule, fresh: f64, baseline: f64) -> bool {
     match rule {
-        Rule::Skip => true,
         Rule::HigherBetter { min_ratio } => fresh >= baseline * min_ratio,
         Rule::LowerBetter { max_ratio } => fresh <= baseline * max_ratio,
         Rule::Within { rel } => {
@@ -562,29 +551,13 @@ mod tests {
 
     #[test]
     fn wall_clock_metrics_gate_loosely() {
-        let base = report("fig_dispatch", &[("threaded_w4_kernels_per_sec", 8000.0)]);
+        let base = report("fig_dispatch", &[("det_kernels_per_sec", 8000.0)]);
         // 2x slower on a slower host: fine.
-        let slower = report("fig_dispatch", &[("threaded_w4_kernels_per_sec", 4000.0)]);
+        let slower = report("fig_dispatch", &[("det_kernels_per_sec", 4000.0)]);
         // 10x collapse: the kind of regression the gate exists for.
-        let collapsed = report("fig_dispatch", &[("threaded_w4_kernels_per_sec", 800.0)]);
+        let collapsed = report("fig_dispatch", &[("det_kernels_per_sec", 800.0)]);
         assert!(compare(&slower, &base).iter().all(|f| !f.verdict.fails()));
         assert!(compare(&collapsed, &base).iter().any(|f| f.verdict.fails()));
-    }
-
-    #[test]
-    fn machine_shape_metrics_are_skipped() {
-        assert_eq!(rule_for("fig_dispatch", "host_cores"), Rule::Skip);
-        assert_eq!(
-            rule_for("fig_dispatch", "threaded_w4_contended_core.store"),
-            Rule::Skip
-        );
-        assert_eq!(
-            rule_for("fig_dispatch", "threaded_scaling_1_to_4"),
-            Rule::Skip
-        );
-        let base = report("fig_dispatch", &[("host_cores", 16.0)]);
-        let fresh = report("fig_dispatch", &[("host_cores", 1.0)]);
-        assert!(compare(&fresh, &base).iter().all(|f| !f.verdict.fails()));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use rand::{RngExt, SeedableRng};
 
 use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
 use pathways_sim::trace::TraceLog;
-use pathways_sim::{Executor, FaultPlan, RunOutcome, SimDuration, SimTime};
+use pathways_sim::{FaultPlan, RunOutcome, Sim, SimDuration, SimTime};
 
 use crate::fault::FaultSpec;
 use crate::{FnSpec, InputSpec, ObjectRef, PathwaysConfig, PathwaysRuntime, Run, SliceRequest};
@@ -135,10 +135,9 @@ pub struct ChaosReport {
     /// True if the spare island's heal-epoch resubmission succeeded
     /// (vacuously true when `spare_island` is false).
     pub spare_healed: bool,
-    /// Programs whose slice allocation succeeded and that were actually
-    /// submitted. Always `programs + 1` (the spare) on the
-    /// deterministic backend; on the threaded backend a fault can race
-    /// ahead of setup and exhaust an island, skipping a program.
+    /// Programs submitted: `programs`, plus one with a spare island.
+    /// Every slice is allocated before the first fault, so none is
+    /// skipped.
     pub launched: u32,
     /// Healing actions the fault injector took (slices remapped off
     /// dead hardware, or recorded unplaceable).
@@ -201,7 +200,9 @@ struct ProgramShape {
 ///
 /// Panics only on malformed specs — zero islands, `spare_island` with a
 /// single island, or islands of fewer than two devices (the workload
-/// generator draws gang sizes of at least 2); the invariants themselves
+/// generator draws gang sizes of at least 2) — and on a setup slice
+/// allocation failing, which names the seed: every allocation precedes
+/// the first fault, so that is a harness bug. The invariants themselves
 /// are *reported*, not asserted, so tests can produce useful
 /// diagnostics.
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
@@ -288,11 +289,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     faults.sort();
 
     // --- Build and run the simulation. ---------------------------------
-    // Backend comes from `PATHWAYS_EXECUTOR` so the CI matrix can run
-    // the same chaos schedules on the deterministic wheel and on real
-    // threads. Invariants hold on both; only the deterministic backend
-    // additionally guarantees bit-identical traces.
-    let mut sim = Executor::from_env(spec.seed);
+    let mut sim = Sim::new(spec.seed);
     let cfg = PathwaysConfig {
         tiers: spec.tiered.then(crate::TierConfig::default),
         ..PathwaysConfig::default()
@@ -316,24 +313,22 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     let rm = std::sync::Arc::clone(rt.resource_manager());
     let spare_slice_idx = shapes.len().saturating_sub(1);
     let has_spare = spec.spare_island;
+    let seed = spec.seed;
 
     let job = sim.spawn("chaos-client", async move {
         let mut kept: Vec<(Run, ObjectRef)> = Vec::new();
         let mut slices: Vec<(usize, crate::VirtualSlice)> = Vec::new();
         let mut last: Option<ObjectRef> = None;
         for (i, shape) in shapes.iter().enumerate() {
-            // On the deterministic backend every allocation happens
-            // before the first fault (earliest fault: t=50us) and must
-            // succeed. On the threaded backend real time passes during
-            // setup, so a fault can race ahead of an allocation and
-            // legitimately exhaust the island; such programs are skipped
-            // and `launched` records how many actually ran.
-            let slice = match client.virtual_slice(
-                SliceRequest::devices(shape.devices).in_island(IslandId(shape.island)),
-            ) {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
+            // Every allocation happens before the first fault
+            // (earliest fault: t=50us), so it must succeed.
+            let slice = client
+                .virtual_slice(
+                    SliceRequest::devices(shape.devices).in_island(IslandId(shape.island)),
+                )
+                .unwrap_or_else(|e| {
+                    panic!("chaos seed {seed:#x}: setup allocation for p{i} failed: {e:?}")
+                });
             slices.push((i, slice.clone()));
             let mut b = client.trace(format!("p{i}"));
             let chain_src = if shape.chained { last.clone() } else { None };

@@ -449,8 +449,8 @@ impl Client {
         let run = run_handle.id();
         // Bind the inputs before the run is registered for failure: a
         // fault that fails it force-starts its input shards, which read
-        // their bindings (on the threaded backend that can happen before
-        // this task reaches the local starts below).
+        // their bindings, so they must exist from the moment the run
+        // can fail.
         for (comp, objref) in bindings {
             let shards = info.shards[comp.index()];
             self.core.bindings.lock().insert(

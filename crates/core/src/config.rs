@@ -1,6 +1,6 @@
 //! Runtime configuration.
 
-use pathways_sim::{ExecutorKind, SimDuration};
+use pathways_sim::SimDuration;
 
 use crate::sched::SchedPolicy;
 use crate::storage::TierConfig;
@@ -55,14 +55,6 @@ pub struct PathwaysConfig {
     /// checkpoints, and (if [`TierConfig::recovery`]) lineage-based
     /// object recovery.
     pub tiers: Option<TierConfig>,
-    /// Which executor backend drives the runtime. `Deterministic` (the
-    /// default) is the single-threaded virtual-time simulation whose
-    /// traces replay bit-identically; `Threaded` runs the same
-    /// controller on a real work-stealing thread pool with monotonic
-    /// timers. Consumed by [`crate::PathwaysRuntime::launch`]; ignored
-    /// when the caller builds its own executor and uses
-    /// [`crate::PathwaysRuntime::new`].
-    pub executor: ExecutorKind,
 }
 
 impl Default for PathwaysConfig {
@@ -77,7 +69,6 @@ impl Default for PathwaysConfig {
             hbm_per_device: 16 << 30,
             batch_grants: true,
             tiers: None,
-            executor: ExecutorKind::Deterministic,
         }
     }
 }
@@ -93,6 +84,5 @@ mod tests {
         assert_eq!(c.policy, SchedPolicy::Fifo);
         assert!(c.hbm_per_device >= 1 << 30);
         assert!(c.tiers.is_none(), "seed semantics by default");
-        assert_eq!(c.executor, ExecutorKind::Deterministic);
     }
 }

@@ -141,9 +141,8 @@ impl FailureState {
 
     /// Starts a dataflow shard in place on `host` (see
     /// [`PlaqueRuntime::start_local`](pathways_plaque::PlaqueRuntime::start_local)).
-    /// On the threaded backend a fault can fail the run, and force-start
-    /// its shards, between the caller's checks and this start; a shard
-    /// found already started is then fine. For a live run it is a bug.
+    /// Failing a run force-starts its shards, so for a failed run a
+    /// shard found already started is fine. For a live run it is a bug.
     ///
     /// # Panics
     ///

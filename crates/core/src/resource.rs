@@ -271,8 +271,8 @@ impl HealEvent {
 /// `prop_resource` suite checks them against a naive linear-scan model.
 ///
 /// Where several of these locks are held at once they are taken in
-/// field order (`attached`, `use_counts`, ..., `dev_slices`); any other
-/// order can deadlock on the threaded backend.
+/// field order (`attached`, `use_counts`, ..., `dev_slices`), the one
+/// lock order every path keeps.
 pub struct ResourceManager {
     topo: Arc<Topology>,
     /// Attached devices per island (placement candidates).
@@ -593,8 +593,7 @@ impl ResourceManager {
                 .lock()
                 .get(&id)
                 .map(|a| (a.owner, a.request, Arc::clone(&a.state)));
-            // On the threaded backend the owner may release the slice
-            // after the snapshot above; a released slice needs no heal.
+            // A slice released since the snapshot above needs no heal.
             let Some((owner, request, state)) = found else {
                 continue;
             };

@@ -372,8 +372,8 @@ pub struct ObjectStore {
 impl Default for ObjectStore {
     fn default() -> Self {
         ObjectStore {
-            // Named: the store is the controller's most shared structure
-            // and the first suspect in any threaded contention profile.
+            // Named: the store is the controller's most shared structure,
+            // and its acquisitions per kernel are a benchmark metric.
             inner: Arc::new(Lock::named("core.store", StoreInner::default())),
         }
     }

@@ -23,15 +23,7 @@ use pathways_core::{
     PathwaysRuntime, SliceRequest,
 };
 use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
-use pathways_sim::{Backend, ExecutorKind, FaultPlan, Sim, SimDuration, SimTime};
-
-/// True when `PATHWAYS_EXECUTOR` selects the threaded backend; the
-/// bit-identical-replay tests are skipped there (real threads do not
-/// promise a reproducible interleaving — the invariant tests above
-/// still run on both backends).
-fn threaded_backend() -> bool {
-    ExecutorKind::from_env().backend() == Backend::Threaded
-}
+use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
 
 fn two_island_rt(sim: &Sim) -> PathwaysRuntime {
     PathwaysRuntime::new(
@@ -522,22 +514,19 @@ fn chaos_matrix_upholds_invariants() {
         );
         // Healing invariants: every heal-epoch resubmission resolves
         // (one per allocated slice), and the spare island's
-        // resubmission always succeeds. Deterministically every program
-        // launches before the first fault; threaded, a fault can race
-        // setup and skip a program, so only the launched count is exact.
+        // resubmission always succeeds. Every program launches before
+        // the first fault.
         assert_eq!(
             report.healed_ok + report.healed_err,
             report.launched,
             "seed {seed}: heal-epoch resubmission wedged (faults {:?})",
             report.faults
         );
-        if !threaded_backend() {
-            assert_eq!(
-                report.launched,
-                ChaosSpec::seeded(seed).programs + 1,
-                "seed {seed}: allocation failed without faults in flight"
-            );
-        }
+        assert_eq!(
+            report.launched,
+            ChaosSpec::seeded(seed).programs + 1,
+            "seed {seed}: allocation failed without faults in flight"
+        );
         assert!(
             report.spare_healed,
             "seed {seed}: spare island's resubmission failed (faults {:?})",
@@ -601,13 +590,11 @@ fn tiered_chaos_matrix_upholds_invariants() {
             report.launched,
             "seed {seed}: heal-epoch resubmission wedged"
         );
-        if !threaded_backend() {
-            assert_eq!(
-                report.launched,
-                ChaosSpec::seeded_tiered(seed).programs + 1,
-                "seed {seed}: allocation failed without faults in flight"
-            );
-        }
+        assert_eq!(
+            report.launched,
+            ChaosSpec::seeded_tiered(seed).programs + 1,
+            "seed {seed}: allocation failed without faults in flight"
+        );
         assert!(report.spare_healed, "seed {seed}: spare heal failed");
         assert!(report.survivor_kernels > 0, "seed {seed}: spare stalled");
         assert_eq!(report.rm_residual_load, 0, "seed {seed}: rm ledger drift");
@@ -624,10 +611,6 @@ fn tiered_chaos_matrix_upholds_invariants() {
 /// and recovery scheduling are all on the deterministic wheel.
 #[test]
 fn tiered_chaos_runs_are_bit_identical_for_equal_seeds() {
-    if threaded_backend() {
-        eprintln!("skipping: replay is only bit-identical on the deterministic backend");
-        return;
-    }
     for seed in [3, 0xD15EA5E] {
         let a = run_chaos(&ChaosSpec::seeded_tiered(seed));
         let b = run_chaos(&ChaosSpec::seeded_tiered(seed));
@@ -762,9 +745,8 @@ fn chain_loss_run(
 /// Storage-engine satellite: losing a whole object *chain* to one
 /// device kill recomputes the shared upstream producer exactly once —
 /// the recovery manager dedupes it out of both downstream lineages and
-/// rebuilds the batch in topological order. The invariant holds on
-/// both executor backends; the bit-identical replay of the trace is
-/// asserted on the deterministic one.
+/// rebuilds the batch in topological order, and the run replays
+/// bit-identically.
 #[test]
 fn scripted_chain_loss_recomputes_shared_upstream_once() {
     let (trace_a, upstream, stats) = chain_loss_run(11);
@@ -778,10 +760,6 @@ fn scripted_chain_loss_recomputes_shared_upstream_once() {
         "the whole 3-object chain recovers: {stats:?}"
     );
     assert_eq!(stats.abandoned, 0, "nothing goes terminal: {stats:?}");
-    if threaded_backend() {
-        eprintln!("skipping replay check: only bit-identical on the deterministic backend");
-        return;
-    }
     let (trace_b, upstream_b, stats_b) = chain_loss_run(11);
     assert_eq!(upstream_b, 1);
     assert_eq!(stats, stats_b, "recovery must replay");
@@ -795,10 +773,6 @@ fn scripted_chain_loss_recomputes_shared_upstream_once() {
 /// schedule included (it is stamped on the `faults` trace track).
 #[test]
 fn chaos_runs_are_bit_identical_for_equal_seeds() {
-    if threaded_backend() {
-        eprintln!("skipping: replay is only bit-identical on the deterministic backend");
-        return;
-    }
     for seed in [3, 0xD15EA5E] {
         let a = run_chaos(&ChaosSpec::seeded(seed));
         let b = run_chaos(&ChaosSpec::seeded(seed));

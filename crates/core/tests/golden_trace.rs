@@ -21,10 +21,6 @@ const CAPTURE: bool = false;
 
 #[test]
 fn chaos_traces_match_seed_revision_fingerprints() {
-    if pathways_sim::ExecutorKind::from_env().backend() == pathways_sim::Backend::Threaded {
-        eprintln!("skipping: golden fingerprints pin the deterministic backend only");
-        return;
-    }
     if CAPTURE {
         for seed in [1u64, 2, 3, 7] {
             let report = run_chaos(&ChaosSpec::seeded(seed));

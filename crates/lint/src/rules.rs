@@ -18,19 +18,18 @@
 //!   RNGs.
 //! - [`LOCK_ACROSS_AWAIT`][]: a `parking_lot`-style guard (`.lock()` /
 //!   `.read()` / `.write()` / `.upgradable_read()`) whose scope
-//!   encloses an `.await` — the classic deadlock/latency hazard for
-//!   the work-stealing executor on the roadmap (guards are not `Send`,
-//!   and even on a single thread a held lock across a suspension point
-//!   inverts the lock order the resumed task expects).
+//!   encloses an `.await` — a deadlock hazard: another task that takes
+//!   the same lock while this one is suspended panics as re-entrant
+//!   (guards are not `Send` either, and a lock held across a
+//!   suspension point inverts the lock order the resumed task
+//!   expects).
 //! - [`PANIC_PATH`][]: `unwrap` / `expect` / `panic!` in non-test code
 //!   of the runtime crates, audited against the checked-in allowlist
 //!   (`crates/lint/panic_allowlist.txt`).
 //! - [`RAW_THREAD`][]: `thread::spawn` / `thread::Builder` and
 //!   `std::sync::{Mutex,RwLock,Condvar}` anywhere outside the sim
-//!   crate's executor module — every OS thread and blocking primitive
-//!   must flow through the `Executor` trait so the deterministic
-//!   backend stays the single source of scheduling truth (and so the
-//!   threaded backend's watchdog sees every task).
+//!   crate's executor module — every task must run on the executor so
+//!   it stays the single source of scheduling truth.
 //!
 //! All rules are lexical (token-sequence) analyses: no type
 //! resolution, no macro expansion. That trades a small class of
@@ -67,17 +66,12 @@ pub const PANIC_AUDIT_CRATES: [&str; 6] = SIM_VISIBLE_CRATES;
 
 /// Files exempt from [`WALL_CLOCK`]: the bench crate's wall-time
 /// measurement modules are the one place wall-clock readings are the
-/// point (sim-time/wall-time ratio and dispatch-throughput reporting),
-/// and the threaded executor backend drives real monotonic timers.
-pub const WALL_CLOCK_EXEMPT: [&str; 3] = [
-    "crates/bench/src/scale.rs",
-    "crates/bench/src/dispatch.rs",
-    "crates/sim/src/exec/threaded.rs",
-];
+/// point (sim-time/wall-time ratio and dispatch-throughput reporting).
+pub const WALL_CLOCK_EXEMPT: [&str; 2] =
+    ["crates/bench/src/scale.rs", "crates/bench/src/dispatch.rs"];
 
 /// Path prefix exempt from [`RAW_THREAD`]: the executor module is the
-/// one place OS threads and blocking primitives are allowed — that is
-/// where they are wrapped behind the `Executor` trait.
+/// one place OS threads and blocking primitives are allowed.
 pub const RAW_THREAD_EXEMPT_PREFIX: &str = "crates/sim/src/exec/";
 
 /// Where a file sits within its crate.
@@ -567,8 +561,8 @@ fn raw_thread(toks: &[Token], scopes: &ScopeMap, out: &mut Vec<RawViolation>) {
                         t.line,
                         format!(
                             "thread::{} spawns an OS thread the executor cannot see; spawn \
-                             through the `Executor` trait (crates/sim/src/exec/) so scheduling, \
-                             shutdown and the watchdog cover it",
+                             a task through `SimHandle` (crates/sim/src/exec/) so scheduling, \
+                             shutdown and deadlock reports cover it",
                             t.text
                         ),
                     );
@@ -589,8 +583,8 @@ fn flag_sync_names(toks: &[Token], i: usize, out: &mut Vec<RawViolation>) {
             t.line,
             format!(
                 "std::sync::{} blocks the calling OS thread behind the executor's back; use \
-                 pathways_sim::lock::Lock (or channels) so contention is profiled and the \
-                 deterministic backend stays serializable",
+                 pathways_sim::lock::Lock (or channels) so acquisitions are profiled and \
+                 re-entrancy panics instead of deadlocking",
                 t.text
             ),
         );

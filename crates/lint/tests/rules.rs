@@ -200,7 +200,7 @@ fn raw_thread_suppression_silences() {
 fn raw_thread_exempts_the_executor_module() {
     let src = "use std::sync::{Condvar, Mutex};\nfn w() { std::thread::spawn(|| {}); }";
     for rel in [
-        "crates/sim/src/exec/threaded.rs",
+        "crates/sim/src/exec/deterministic.rs",
         "crates/sim/src/exec/mod.rs",
     ] {
         let ctx = FileCtx {

@@ -268,9 +268,8 @@ impl PlaqueRuntime {
     /// Ensures a worker task is running on `host`; returns its shard map.
     fn ensure_worker(&self, host: HostId) -> ShardMap {
         // Check, register the inbox and publish under one acquisition:
-        // on the threaded backend two launches may race to create the
-        // same worker, and no one may send to the host before its inbox
-        // exists.
+        // a host gets exactly one worker, and no one may send to the
+        // host before its inbox exists.
         let mut workers = self.workers.lock();
         if let Some(map) = workers.get(&host) {
             return Arc::clone(map);
@@ -359,9 +358,9 @@ impl PlaqueRuntime {
                 Self::check_inputs_complete(shared, &slot_rc, egress);
             }
             data_or_done => {
-                // Check and park under one acquisition: on the threaded
-                // backend a concurrent Start could otherwise replay the
-                // pending list between the two, losing this message.
+                // Check and park under one acquisition: a message is
+                // parked exactly when its slot has not started, so the
+                // Start that replays the pending list delivers it.
                 let data_or_done = {
                     let mut slot = slot_rc.lock();
                     if !slot.started {
@@ -493,8 +492,9 @@ impl PlaqueRuntime {
     /// that carried the start information).
     ///
     /// Returns false, and does nothing, if the shard was already
-    /// started. The check and the start are one step, so of two racing
-    /// starters on the threaded backend exactly one starts the shard.
+    /// started. The check and the start are one step, so of two
+    /// starters (a grant and a failure's force-start) exactly one starts
+    /// the shard.
     ///
     /// # Panics
     ///
@@ -618,8 +618,8 @@ impl PlaqueRuntime {
     pub fn force_start_run(&self, run: RunId) {
         // Slot locks are not taken under the shard maps: a shard's
         // callbacks hold its slot lock while finalizing, which takes the
-        // worker table and the map (the opposite order would deadlock on
-        // the threaded backend). `start_local` skips started shards.
+        // worker table and the map, so that is the one lock order.
+        // `start_local` skips started shards.
         let mut targets: Vec<(HostId, NodeId, u32)> = Vec::new();
         {
             let workers = self.workers.lock();

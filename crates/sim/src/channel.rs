@@ -1,11 +1,9 @@
 //! Unbounded MPSC and oneshot channels for simulation tasks.
 //!
-//! These mirror the tokio channel APIs and run on both executor
-//! backends: under the deterministic backend messages are delivered in
-//! send order and receivers are woken through the executor's FIFO ready
-//! queue; under the threaded backend the same types are `Send`-safe and
-//! wakes are issued after the channel lock is released so a woken task
-//! can start on another worker immediately.
+//! These mirror the tokio channel APIs. Messages are delivered in send
+//! order and receivers are woken through the executor's FIFO ready
+//! queue. Wakes are issued after the channel lock is released, so a
+//! waker never runs under it.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -1,11 +1,11 @@
-//! The deterministic virtual-time backend.
+//! The deterministic virtual-time scheduler.
 //!
 //! A [`Sim`] owns a set of tasks and a virtual clock. Tasks are ordinary
 //! Rust futures that sleep on virtual timers via
 //! [`SimHandle::sleep`](super::SimHandle::sleep) and communicate through
 //! the channels in [`crate::channel`] and the primitives in
-//! [`crate::sync`]. Everything runs on the calling thread; futures are
-//! `Send` only so the identical code also runs on the threaded backend.
+//! [`crate::sync`]. Everything runs on the thread that calls
+//! [`Sim::run`].
 //!
 //! Execution is deterministic: the ready queue is FIFO, timers fire in
 //! `(deadline, registration order)`, and the only randomness available
@@ -51,7 +51,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::task::{Context, Wake, Waker};
 
 use parking_lot::Mutex;
@@ -63,8 +63,7 @@ use crate::trace::TraceLog;
 use crate::wheel::TimerWheel;
 
 use super::{
-    Backend, ExecutorBackend, ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle,
-    TaskFuture, TaskId, TaskName,
+    ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle, TaskFuture, TaskId, TaskName,
 };
 
 /// A woken task: its slab slot and the id of the task it was woken for.
@@ -150,8 +149,8 @@ impl DetState {
     }
 }
 
-/// Shared core: the backend object handles point at.
-struct DetCore {
+/// Shared core: what handles point at.
+pub(crate) struct DetCore {
     state: Mutex<DetState>,
     ready: Arc<ReadyQueue>,
     /// Virtual time in nanoseconds; written only by the run loop.
@@ -161,22 +160,18 @@ struct DetCore {
 }
 
 impl DetCore {
-    fn clock(&self) -> SimTime {
+    pub(super) fn clock(&self) -> SimTime {
         // Relaxed: a clock reading publishes no other data.
         SimTime::from_nanos(self.now.load(Ordering::Relaxed))
     }
-}
 
-impl ExecutorBackend for DetCore {
-    fn backend(&self) -> Backend {
-        Backend::Deterministic
-    }
-
-    fn now(&self) -> SimTime {
-        self.clock()
-    }
-
-    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
+    /// Registers a boxed task; it becomes runnable immediately.
+    pub(super) fn spawn_task(
+        &self,
+        name: TaskName,
+        idle: Option<IdleToken>,
+        future: TaskFuture,
+    ) -> TaskId {
         let wakeup = {
             let mut st = self.state.lock();
             let id = TaskId(st.next_task);
@@ -204,7 +199,8 @@ impl ExecutorBackend for DetCore {
         wakeup.1
     }
 
-    fn abort_task(&self, id: TaskId) {
+    /// Forcibly removes a task (models abrupt process death).
+    pub(super) fn abort_task(&self, id: TaskId) {
         // A task being polled is not in its slot, so aborting oneself
         // is a no-op. Aborts model process death and are rare, so a
         // slab scan beats an id index every spawn would have to
@@ -222,24 +218,23 @@ impl ExecutorBackend for DetCore {
         drop(aborted);
     }
 
-    fn register_timer(&self, deadline: SimTime, waker: Waker) {
+    /// Arms a timer waking `waker` at `deadline`; timers sharing a
+    /// deadline fire in registration order.
+    pub(super) fn register_timer(&self, deadline: SimTime, waker: Waker) {
         self.state.lock().register_timer(deadline, waker);
     }
 
-    fn rng_u64(&self) -> u64 {
+    pub(super) fn rng_u64(&self) -> u64 {
         self.state.lock().rng.random()
     }
 
-    fn rng_range(&self, bound: u64) -> u64 {
+    /// Draws uniformly from `[0, bound)` (callers guarantee `bound > 0`).
+    pub(super) fn rng_range(&self, bound: u64) -> u64 {
         self.state.lock().rng.random_range(0..bound)
     }
 
-    fn with_trace_log(&self, f: &mut dyn FnMut(&mut TraceLog)) {
+    pub(super) fn with_trace<R>(&self, f: impl FnOnce(&mut TraceLog) -> R) -> R {
         f(&mut self.state.lock().trace)
-    }
-
-    fn poll_count(&self) -> u64 {
-        self.polls.load(Ordering::Relaxed)
     }
 }
 
@@ -289,8 +284,7 @@ impl Sim {
 
     /// Returns a cloneable handle for use inside tasks.
     pub fn handle(&self) -> SimHandle {
-        let weak: Weak<DetCore> = Arc::downgrade(&self.core);
-        SimHandle::from_backend(weak)
+        SimHandle::new(Arc::downgrade(&self.core))
     }
 
     /// Spawns a task and returns a handle to its eventual output.
@@ -706,6 +700,53 @@ mod tests {
         wx.wake_by_ref();
         assert!(sim.run().is_deadlock());
         assert_eq!(*log.lock(), vec!["x", "y", "x", "y", "x"]);
+    }
+
+    #[test]
+    fn idle_service_tasks_are_quiescent() {
+        let run = |park_idle: bool| {
+            let mut sim = Sim::new(0);
+            let token = IdleToken::new();
+            let (tx, mut rx) = crate::channel::channel::<u32>();
+            let t2 = token.clone();
+            sim.handle().spawn_service("svc", &token, async move {
+                loop {
+                    if park_idle {
+                        t2.set_idle();
+                    }
+                    let Some(_) = rx.recv().await else { break };
+                    t2.set_busy();
+                }
+            });
+            let h = sim.handle();
+            let client_tx = tx.clone();
+            sim.spawn("client", async move {
+                for i in 0..10 {
+                    client_tx.send(i).unwrap();
+                    h.sleep(SimDuration::from_micros(50)).await;
+                }
+            });
+            // `tx` outlives the run, so the service never sees a close.
+            let outcome = sim.run();
+            drop(tx);
+            outcome
+        };
+        assert!(run(true).is_quiescent());
+        match run(false) {
+            RunOutcome::Deadlock { stuck_tasks, .. } => assert_eq!(stuck_tasks, vec!["svc"]),
+            other => panic!("a busy parked service is stuck, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn task_panic_propagates_to_run() {
+        let mut sim = Sim::new(0);
+        sim.spawn("bomb", async move {
+            panic!("boom from task");
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("boom"), "unexpected payload {msg:?}");
     }
 
     #[test]

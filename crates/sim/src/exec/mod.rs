@@ -1,34 +1,19 @@
-//! Executor backends: one spawn/timer/channel/event surface, two
-//! schedulers.
+//! The executor: one spawn/timer/channel/event surface over the
+//! deterministic virtual-time scheduler.
 //!
 //! Everything in the runtime — hosts, schedulers, device models, shard
-//! drivers, clients — is an async task talking to an executor through
-//! [`SimHandle`]. This module abstracts that surface behind the
-//! [`ExecutorBackend`] trait with two implementations:
+//! drivers, clients — is an async task talking to the [`Sim`] through
+//! a [`SimHandle`]. Time advances only when every runnable task has
+//! yielded; the ready queue is FIFO; timers fire in `(deadline,
+//! registration order)`. Running the same program twice produces
+//! bit-identical traces, which every golden trace, chaos matrix and
+//! figure relies on. See [`deterministic`] for the scheduler itself.
 //!
-//! * [`Sim`] (the **deterministic** backend, [`deterministic`]): the
-//!   original single-threaded virtual-time executor. Time advances only
-//!   when every runnable task has yielded; the ready queue is FIFO;
-//!   timers fire in `(deadline, registration order)`. Running the same
-//!   program twice produces bit-identical traces — this is the backend
-//!   every golden trace, chaos matrix and figure replays on.
-//! * [`ThreadedExecutor`] (the **threaded** backend, [`threaded`]): a
-//!   work-stealing thread pool with real monotonic timers behind the
-//!   same timer-wheel API. `SimTime` is nanoseconds since executor
-//!   start, `sleep` is a real timer, and tasks genuinely run in
-//!   parallel — this is the backend that exercises the controller's
-//!   locking and `Send`-safety for production, mirroring the
-//!   `Deterministic`/`Production` split in zed/gpui.
-//!
-//! [`Executor`] is the uniform front: construct from an
-//! [`ExecutorKind`] (or `PATHWAYS_EXECUTOR` via
-//! [`ExecutorKind::from_env`]) and drive either backend with one API.
-//! Code that only spawns and sleeps is backend-agnostic by
-//! construction: `SimHandle` requires `Send` futures, so anything that
-//! runs deterministically also compiles for real threads.
+//! Every task runs on the thread that drives the [`Sim`]. Spawned
+//! futures must still be `Send`: the bound keeps runtime state behind
+//! thread-safe types and keeps a [`Sim`] itself `Send`.
 
 pub mod deterministic;
-pub mod threaded;
 
 use std::fmt;
 use std::future::Future;
@@ -42,8 +27,8 @@ use parking_lot::Mutex;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceLog;
 
+use deterministic::DetCore;
 pub use deterministic::Sim;
-pub use threaded::ThreadedExecutor;
 
 /// Identifier of a spawned task within one executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -55,7 +40,7 @@ impl fmt::Display for TaskId {
     }
 }
 
-/// Boxed task body as stored by a backend.
+/// Boxed task body as stored by the executor.
 pub type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
 /// Renders a [`TaskName::lazy`] name from its packed arguments.
@@ -118,92 +103,6 @@ impl From<String> for TaskName {
     fn from(s: String) -> Self {
         TaskName(NameRepr::Owned(s))
     }
-}
-
-/// Which backend an executor (or handle) is running on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Single-threaded virtual time; bit-identical replay.
-    Deterministic,
-    /// Work-stealing thread pool on real monotonic time.
-    Threaded,
-}
-
-/// Backend selection, including threaded worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutorKind {
-    /// The deterministic virtual-time backend (the default).
-    #[default]
-    Deterministic,
-    /// The work-stealing threaded backend with `workers` OS threads.
-    Threaded {
-        /// Worker thread count (0 = one per available core, capped at 8).
-        workers: usize,
-    },
-}
-
-impl ExecutorKind {
-    /// Reads `PATHWAYS_EXECUTOR`: `deterministic` (default), `threaded`,
-    /// or `threaded:<N>` for an explicit worker count.
-    pub fn from_env() -> Self {
-        match std::env::var("PATHWAYS_EXECUTOR") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                panic!("PATHWAYS_EXECUTOR={v:?} (want deterministic | threaded | threaded:<N>)")
-            }),
-            Err(_) => ExecutorKind::Deterministic,
-        }
-    }
-
-    /// Parses `deterministic` | `threaded` | `threaded:<N>`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "deterministic" | "" => Some(ExecutorKind::Deterministic),
-            "threaded" => Some(ExecutorKind::Threaded { workers: 0 }),
-            _ => {
-                let n = s.strip_prefix("threaded:")?;
-                Some(ExecutorKind::Threaded {
-                    workers: n.parse().ok()?,
-                })
-            }
-        }
-    }
-
-    /// The backend this kind selects.
-    pub fn backend(&self) -> Backend {
-        match self {
-            ExecutorKind::Deterministic => Backend::Deterministic,
-            ExecutorKind::Threaded { .. } => Backend::Threaded,
-        }
-    }
-}
-
-/// The spawn/timer/trace surface a backend provides to [`SimHandle`].
-///
-/// Object-safe: handles hold a `Weak<dyn ExecutorBackend>` so the same
-/// handle type drives both backends. The generic conveniences
-/// (`spawn<T>`, typed join handles) are layered on top in `SimHandle`.
-pub trait ExecutorBackend: Send + Sync {
-    /// Which backend this is.
-    fn backend(&self) -> Backend;
-    /// Current time: virtual time (deterministic) or monotonic
-    /// nanoseconds since executor start (threaded).
-    fn now(&self) -> SimTime;
-    /// Registers a boxed task; it becomes runnable immediately.
-    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId;
-    /// Forcibly removes a task (models abrupt process death).
-    fn abort_task(&self, id: TaskId);
-    /// Arms a timer waking `waker` at `deadline`. Timers sharing a
-    /// deadline fire in registration order on the deterministic
-    /// backend.
-    fn register_timer(&self, deadline: SimTime, waker: Waker);
-    /// Draws from the executor's seeded RNG.
-    fn rng_u64(&self) -> u64;
-    /// Draws uniformly from `[0, bound)` (callers guarantee `bound > 0`).
-    fn rng_range(&self, bound: u64) -> u64;
-    /// Runs `f` with the shared trace log.
-    fn with_trace_log(&self, f: &mut dyn FnMut(&mut TraceLog));
-    /// Total task polls performed (introspection/benches).
-    fn poll_count(&self) -> u64;
 }
 
 /// Marker a long-running service task uses to tell the executor it is
@@ -279,19 +178,9 @@ impl RunOutcome {
 }
 
 /// Cloneable handle to an executor, usable from inside tasks.
-///
-/// The same handle type serves both backends; spawned futures must be
-/// `Send` so they are runnable on either.
+#[derive(Clone)]
 pub struct SimHandle {
-    backend: Weak<dyn ExecutorBackend>,
-}
-
-impl Clone for SimHandle {
-    fn clone(&self) -> Self {
-        SimHandle {
-            backend: Weak::clone(&self.backend),
-        }
-    }
+    core: Weak<DetCore>,
 }
 
 impl fmt::Debug for SimHandle {
@@ -303,28 +192,23 @@ impl fmt::Debug for SimHandle {
 }
 
 impl SimHandle {
-    pub(crate) fn from_backend(backend: Weak<dyn ExecutorBackend>) -> Self {
-        SimHandle { backend }
+    pub(crate) fn new(core: Weak<DetCore>) -> Self {
+        SimHandle { core }
     }
 
-    fn upgrade(&self) -> Arc<dyn ExecutorBackend> {
-        self.backend
+    fn upgrade(&self) -> Arc<DetCore> {
+        self.core
             .upgrade()
             .expect("SimHandle used after its executor was dropped")
     }
 
-    /// Which backend this handle belongs to.
-    pub fn backend(&self) -> Backend {
-        self.upgrade().backend()
-    }
-
-    /// Current time (virtual or monotonic-since-start).
+    /// Current virtual time.
     ///
     /// # Panics
     ///
     /// Panics if the owning executor has been dropped.
     pub fn now(&self) -> SimTime {
-        self.upgrade().now()
+        self.upgrade().clock()
     }
 
     /// Returns a future that resolves after `duration`.
@@ -411,12 +295,13 @@ impl SimHandle {
                 w.wake();
             }
         };
-        let backend = self.upgrade();
-        let id = backend.spawn_task(name.into(), idle, Box::pin(wrapped));
+        let id = self
+            .upgrade()
+            .spawn_task(name.into(), idle, Box::pin(wrapped));
         JoinHandle {
             state,
             id,
-            backend: Weak::clone(&self.backend),
+            core: Weak::clone(&self.core),
         }
     }
 
@@ -449,14 +334,7 @@ impl SimHandle {
 
     /// Runs `f` with mutable access to the trace log.
     pub fn with_trace<R>(&self, f: impl FnOnce(&mut TraceLog) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.upgrade().with_trace_log(&mut |trace| {
-            if let Some(f) = f.take() {
-                out = Some(f(trace));
-            }
-        });
-        out.expect("with_trace_log must invoke the callback")
+        self.upgrade().with_trace(f)
     }
 
     pub(crate) fn register_timer(&self, deadline: SimTime, waker: Waker) {
@@ -533,7 +411,7 @@ struct JoinState<T> {
 pub struct JoinHandle<T> {
     state: Arc<Mutex<JoinState<T>>>,
     id: TaskId,
-    backend: Weak<dyn ExecutorBackend>,
+    core: Weak<DetCore>,
 }
 
 impl<T> fmt::Debug for JoinHandle<T> {
@@ -563,8 +441,8 @@ impl<T> JoinHandle<T> {
     /// never runs again, exactly like a process that was killed. Safe
     /// to call on completed tasks (it is then a no-op).
     pub fn abort(&self) {
-        if let Some(backend) = self.backend.upgrade() {
-            backend.abort_task(self.id);
+        if let Some(core) = self.core.upgrade() {
+            core.abort_task(self.id);
         }
     }
 
@@ -602,9 +480,8 @@ pub async fn join_all<T>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
     out
 }
 
-/// Anything that can hand out a [`SimHandle`]: both executors, the
-/// [`Executor`] front, and `SimHandle` itself. Lets runtime
-/// constructors accept any of them.
+/// Anything that can hand out a [`SimHandle`]: a [`Sim`] or a
+/// `SimHandle` itself. Lets runtime constructors accept either.
 pub trait ExecutorRef {
     /// A handle onto the underlying executor.
     fn executor_handle(&self) -> SimHandle;
@@ -619,121 +496,5 @@ impl ExecutorRef for SimHandle {
 impl<E: ExecutorRef + ?Sized> ExecutorRef for &E {
     fn executor_handle(&self) -> SimHandle {
         (**self).executor_handle()
-    }
-}
-
-/// Uniform front over the two backends.
-///
-/// ```
-/// use pathways_sim::{Executor, ExecutorKind, SimDuration};
-///
-/// for kind in [ExecutorKind::Deterministic, ExecutorKind::Threaded { workers: 2 }] {
-///     let mut ex = Executor::new(kind, 42);
-///     let h = ex.handle();
-///     let task = ex.spawn("worker", async move {
-///         h.sleep(SimDuration::from_micros(10)).await;
-///         2 + 2
-///     });
-///     assert!(ex.run().is_quiescent());
-///     assert_eq!(task.try_take(), Some(4));
-/// }
-/// ```
-#[derive(Debug)]
-pub enum Executor {
-    /// Deterministic virtual-time backend.
-    Deterministic(Sim),
-    /// Work-stealing threaded backend.
-    Threaded(ThreadedExecutor),
-}
-
-impl Executor {
-    /// Creates an executor of the given kind; `seed` seeds its RNG.
-    pub fn new(kind: ExecutorKind, seed: u64) -> Self {
-        match kind {
-            ExecutorKind::Deterministic => Executor::Deterministic(Sim::new(seed)),
-            ExecutorKind::Threaded { workers } => {
-                Executor::Threaded(ThreadedExecutor::new(workers, seed))
-            }
-        }
-    }
-
-    /// Creates an executor per `PATHWAYS_EXECUTOR` (see
-    /// [`ExecutorKind::from_env`]).
-    pub fn from_env(seed: u64) -> Self {
-        Self::new(ExecutorKind::from_env(), seed)
-    }
-
-    /// Which backend is running.
-    pub fn backend(&self) -> Backend {
-        match self {
-            Executor::Deterministic(_) => Backend::Deterministic,
-            Executor::Threaded(_) => Backend::Threaded,
-        }
-    }
-
-    /// True for the deterministic backend (use to gate bit-identical
-    /// replay assertions; the threaded backend asserts invariants only).
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, Executor::Deterministic(_))
-    }
-
-    /// A cloneable handle for use inside tasks.
-    pub fn handle(&self) -> SimHandle {
-        match self {
-            Executor::Deterministic(s) => s.handle(),
-            Executor::Threaded(t) => t.handle(),
-        }
-    }
-
-    /// Spawns a task and returns a handle to its eventual output.
-    pub fn spawn<T: Send + 'static>(
-        &self,
-        name: impl Into<TaskName>,
-        future: impl Future<Output = T> + Send + 'static,
-    ) -> JoinHandle<T> {
-        self.handle().spawn(name, future)
-    }
-
-    /// Runs until every task completes (or is parked idle) or no
-    /// further progress is possible.
-    pub fn run(&mut self) -> RunOutcome {
-        match self {
-            Executor::Deterministic(s) => s.run(),
-            Executor::Threaded(t) => t.run(),
-        }
-    }
-
-    /// Runs and panics with the stuck-task list on deadlock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run deadlocks.
-    pub fn run_to_quiescence(&mut self) -> SimTime {
-        match self {
-            Executor::Deterministic(s) => s.run_to_quiescence(),
-            Executor::Threaded(t) => t.run_to_quiescence(),
-        }
-    }
-
-    /// Current time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            Executor::Deterministic(s) => s.now(),
-            Executor::Threaded(t) => t.now(),
-        }
-    }
-
-    /// Takes the accumulated trace events, leaving the log empty.
-    pub fn take_trace(&self) -> TraceLog {
-        match self {
-            Executor::Deterministic(s) => s.take_trace(),
-            Executor::Threaded(t) => t.take_trace(),
-        }
-    }
-}
-
-impl ExecutorRef for Executor {
-    fn executor_handle(&self) -> SimHandle {
-        self.handle()
     }
 }

@@ -46,8 +46,8 @@ pub mod trace;
 mod wheel;
 
 pub use exec::{
-    join_all, Backend, Executor, ExecutorBackend, ExecutorKind, ExecutorRef, IdleToken, JoinHandle,
-    RunOutcome, Sim, SimHandle, Sleep, TaskId, TaskName, ThreadedExecutor, YieldNow,
+    join_all, ExecutorRef, IdleToken, JoinHandle, RunOutcome, Sim, SimHandle, Sleep, TaskId,
+    TaskName, YieldNow,
 };
 pub use fault::{FaultPlan, FaultSignal, FaultStamp};
 pub use hash::{FxHashMap, FxHashSet};

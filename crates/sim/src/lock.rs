@@ -1,60 +1,38 @@
-//! Interior mutability for runtime state, on both executor backends.
+//! Interior mutability for runtime state.
 //!
 //! [`Lock`] is the workspace's one sanctioned interior-mutability
 //! primitive outside the executor itself (the pathlint `raw-thread`
 //! rule bans direct `std::sync::Mutex`/`RwLock`/`Condvar` elsewhere).
 //! It is a mutex with two additions tuned for this codebase:
 //!
-//! * **Re-entrancy detection.** The deterministic backend runs every
-//!   task on one thread, where a re-entrant `lock()` would silently
-//!   deadlock (the `RefCell` it replaced would have panicked). `Lock`
-//!   tracks the owning thread and panics with the lock's name instead
-//!   of deadlocking, preserving the fail-fast behavior golden tests
-//!   rely on.
-//! * **Contention profiling.** Locks created with [`Lock::named`]
-//!   share one counter record per name in a process-wide table (so
-//!   the table is bounded by the number of distinct names, however
-//!   many runtimes are built); every acquisition and every contended
-//!   acquisition (the fast-path `try_lock` lost) is counted.
+//! * **Re-entrancy detection.** Every task runs on the executor's one
+//!   thread, so a lock is never contended: a `lock()` that finds it
+//!   held is a re-entrant acquisition, which a plain mutex would turn
+//!   into a silent deadlock. `Lock` panics with the lock's name
+//!   instead, as the `RefCell` it replaced did, preserving the
+//!   fail-fast behavior golden tests rely on.
+//! * **Acquisition profiling.** Locks created with [`Lock::named`]
+//!   share one counter per name in a process-wide table (so the table
+//!   is bounded by the number of distinct names, however many runtimes
+//!   are built), and every acquisition is counted.
 //!   [`contention_profile`] snapshots the table — this is what
-//!   `fig_dispatch`'s lock-contention profile reports.
+//!   `fig_dispatch` and the benchmark's per-layer lock counts report.
 //!
-//! Counting is skipped entirely for anonymous locks, so fine-grained
-//! per-object state pays only the owner-tracking store.
+//! Counting is skipped entirely for anonymous locks.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Monotonic per-thread id used for re-entrancy detection (0 = no owner).
-fn current_thread_token() -> u64 {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TOKEN: Cell<u64> = const { Cell::new(0) };
-    }
-    TOKEN.with(|t| {
-        let mut v = t.get();
-        if v == 0 {
-            v = NEXT.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
-        }
-        v
-    })
-}
-
-/// Acquisition counters shared by every [`Lock`] created under one
-/// name.
+/// Acquisition counter shared by every [`Lock`] created under one name.
 #[derive(Debug)]
 pub struct LockStats {
     name: &'static str,
     acquires: AtomicU64,
-    contended: AtomicU64,
 }
 
 /// Process-wide registry of named-lock stats: one entry per name.
@@ -70,57 +48,44 @@ pub struct LockProfile {
     pub name: String,
     /// Total acquisitions since the last [`reset_contention_profile`].
     pub acquires: u64,
-    /// Acquisitions that lost the uncontended fast path and blocked.
-    pub contended: u64,
 }
 
-/// Snapshot of every named lock's counters, aggregated by name and
-/// sorted by contended count (most contended first).
+/// Snapshot of every named lock's acquisition count, sorted by name.
 pub fn contention_profile() -> Vec<LockProfile> {
-    let mut out: Vec<LockProfile> = registry()
+    registry()
         .lock()
         .values()
         .map(|s| LockProfile {
             name: s.name.to_string(),
             acquires: s.acquires.load(Ordering::Relaxed),
-            contended: s.contended.load(Ordering::Relaxed),
         })
-        .collect();
-    out.sort_by(|a, b| b.contended.cmp(&a.contended).then(a.name.cmp(&b.name)));
-    out
+        .collect()
 }
 
-/// Zeroes every named lock's counters (the locks stay registered).
+/// Zeroes every named lock's counter (the locks stay registered).
 pub fn reset_contention_profile() {
     for s in registry().lock().values() {
         s.acquires.store(0, Ordering::Relaxed);
-        s.contended.store(0, Ordering::Relaxed);
     }
 }
 
-/// A mutex with re-entrancy detection and optional contention counting.
+/// A mutex that panics on re-entrant acquisition and optionally counts
+/// acquisitions.
 ///
-/// Replaces the `RefCell`s the runtime used when it was single-threaded
-/// only: semantics under the deterministic backend are identical
-/// (including panicking on re-entrant acquisition, where a plain mutex
-/// would deadlock), and under the threaded backend it is an ordinary
-/// blocking mutex.
+/// Replaces the `RefCell`s the runtime used before its state had to be
+/// `Send`, with the same semantics: acquiring a lock the executor
+/// thread already holds panics rather than deadlocking.
 #[derive(Default)]
 pub struct Lock<T: ?Sized> {
     stats: Option<Arc<LockStats>>,
-    /// Thread token of the current owner (0 when unlocked). Written
-    /// only by the owner, read by would-be acquirers for re-entrancy
-    /// diagnosis.
-    owner: AtomicU64,
     inner: Mutex<T>,
 }
 
 impl<T> Lock<T> {
-    /// Creates an anonymous lock (no contention counting).
+    /// Creates an anonymous lock (no acquisition counting).
     pub fn new(value: T) -> Self {
         Lock {
             stats: None,
-            owner: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
     }
@@ -128,19 +93,17 @@ impl<T> Lock<T> {
     /// Creates a named lock registered in the contention profile.
     ///
     /// Use for the runtime's shared hot structures (store, scheduler
-    /// state, fabric) so `fig_dispatch` can report where the threaded
-    /// backend contends.
+    /// state, fabric) so the benchmarks can report acquisitions per
+    /// kernel.
     pub fn named(name: &'static str, value: T) -> Self {
         let stats = Arc::clone(registry().lock().entry(name).or_insert_with(|| {
             Arc::new(LockStats {
                 name,
                 acquires: AtomicU64::new(0),
-                contended: AtomicU64::new(0),
             })
         }));
         Lock {
             stats: Some(stats),
-            owner: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
     }
@@ -163,48 +126,27 @@ impl<T: ?Sized> Lock<T> {
     ///
     /// # Panics
     ///
-    /// Panics (instead of deadlocking) if the calling thread already
-    /// holds this lock — the moral equivalent of `RefCell`'s
+    /// Panics (instead of deadlocking) if the lock is already held —
+    /// with every task on one thread that can only be a re-entrant
+    /// acquisition, the moral equivalent of `RefCell`'s
     /// borrow-while-borrowed panic.
     pub fn lock(&self) -> LockGuard<'_, T> {
-        let me = current_thread_token();
-        let guard = match self.inner.try_lock() {
-            Some(g) => g,
-            None => {
-                if self.owner.load(Ordering::Relaxed) == me {
-                    panic!(
-                        "re-entrant Lock::lock on {:?} (would deadlock; the RefCell this \
-                         replaced would have panicked here too)",
-                        self.stats.as_ref().map_or("<anonymous>", |s| s.name)
-                    );
-                }
-                if let Some(s) = &self.stats {
-                    s.contended.fetch_add(1, Ordering::Relaxed);
-                }
-                self.inner.lock()
-            }
-        };
-        if let Some(s) = &self.stats {
-            s.acquires.fetch_add(1, Ordering::Relaxed);
-        }
-        self.owner.store(me, Ordering::Relaxed);
-        LockGuard {
-            lock: self,
-            guard: ManuallyDrop::new(guard),
-        }
+        self.try_lock().unwrap_or_else(|| {
+            panic!(
+                "re-entrant Lock::lock on {:?} (would deadlock; the RefCell this \
+                 replaced would have panicked here too)",
+                self.stats.as_ref().map_or("<anonymous>", |s| s.name)
+            )
+        })
     }
 
     /// Attempts to acquire without blocking.
     pub fn try_lock(&self) -> Option<LockGuard<'_, T>> {
-        let g = self.inner.try_lock()?;
+        let guard = self.inner.try_lock()?;
         if let Some(s) = &self.stats {
             s.acquires.fetch_add(1, Ordering::Relaxed);
         }
-        self.owner.store(current_thread_token(), Ordering::Relaxed);
-        Some(LockGuard {
-            lock: self,
-            guard: ManuallyDrop::new(g),
-        })
+        Some(LockGuard { guard })
     }
 
     /// Mutable access without locking (requires exclusive borrow).
@@ -224,19 +166,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Lock<T> {
 
 /// RAII guard returned by [`Lock::lock`].
 pub struct LockGuard<'a, T: ?Sized> {
-    lock: &'a Lock<T>,
-    guard: ManuallyDrop<MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Drop for LockGuard<'_, T> {
-    fn drop(&mut self) {
-        // Clear ownership before releasing: between the store and the
-        // unlock other threads merely see "locked by nobody" and block
-        // normally.
-        self.lock.owner.store(0, Ordering::Relaxed);
-        // SAFETY: dropped exactly once, here.
-        unsafe { ManuallyDrop::drop(&mut self.guard) };
-    }
+    guard: MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for LockGuard<'_, T> {
@@ -295,27 +225,6 @@ mod tests {
             .find(|p| p.name == "count-test")
             .unwrap();
         assert_eq!(after.acquires - before, 2);
-    }
-
-    #[test]
-    fn contended_acquisition_is_counted() {
-        let l = std::sync::Arc::new(Lock::named("contend-test", ()));
-        let l2 = std::sync::Arc::clone(&l);
-        let g = l.lock();
-        let t = std::thread::spawn(move || {
-            let _g = l2.lock();
-        });
-        // Give the spawned thread time to lose the fast path.
-        while contention_profile()
-            .iter()
-            .find(|p| p.name == "contend-test")
-            .map_or(0, |p| p.contended)
-            == 0
-        {
-            std::thread::yield_now();
-        }
-        drop(g);
-        t.join().unwrap();
     }
 
     #[test]

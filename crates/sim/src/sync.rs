@@ -1,9 +1,8 @@
 //! Synchronization primitives for simulation tasks.
 //!
 //! All primitives are FIFO-fair — waiters are released in the order they
-//! first polled — and run on both executor backends: deterministic under
-//! the virtual-time backend, `Send`-safe (wakes issued after internal
-//! locks are released) under the threaded one.
+//! first polled — and deterministic. Wakes are issued after internal
+//! locks are released, so a waker never runs under them.
 
 use std::collections::VecDeque;
 use std::fmt;

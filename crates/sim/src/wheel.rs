@@ -159,6 +159,7 @@ impl<T> TimerWheel<T> {
     }
 
     /// Deadline of the next pending timer, if any.
+    #[cfg(test)]
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.min_pending().map(SimTime::from_nanos)
     }
@@ -170,6 +171,7 @@ impl<T> TimerWheel<T> {
     /// slot of the lowest occupied level (scan that one slot), or in
     /// the overflow map. Entries in later slots, higher levels, or the
     /// overflow are all strictly later than that slot's span.
+    #[cfg(test)]
     fn min_pending(&self) -> Option<u64> {
         if self.occupancy[0] != 0 {
             let slot = self.occupancy[0].trailing_zeros() as usize;

@@ -1,4 +1,4 @@
-//! A poll on the deterministic backend allocates nothing: the task's
+//! A poll allocates nothing: the task's
 //! waker is built once at spawn and the ready queue reuses its buffers.
 //!
 //! This binary installs a counting global allocator, so it holds this
